@@ -4,10 +4,10 @@ Subcommands: ``synth``, ``decompose``, ``spectrum``, ``fft``, ``glide``,
 ``compare``.  Settings come from CLI flags, which override an optional INI
 config file (``--config``); see :mod:`modespect.config` for the file layout.
 
-Exit codes: 0 ok, 1 I/O failure, 2 invalid configuration, 3 window sizing
-violation (K <= 2*d), 4 degenerate input.  Configuration is validated before
-any computation starts, and output files are written only after the
-computation succeeds.
+Exit codes: 0 ok, 1 I/O failure or malformed input file, 2 invalid
+configuration, 3 window sizing violation (K <= 2*d), 4 degenerate input.
+Configuration is validated before any computation starts, and output files
+are written only after the computation succeeds.
 """
 
 from __future__ import annotations
@@ -494,6 +494,9 @@ def main(argv=None) -> int:
     except SizingError as exc:
         print(f"error: window sizing: {exc}", file=sys.stderr)
         return EXIT_SIZING
+    except fileio.MalformedFileError as exc:
+        print(f"error: malformed input file: {exc}", file=sys.stderr)
+        return EXIT_IO
     except (ConfigError, ValueError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .linalg import Tolerance, TruncationPolicy, eig, lstsq, svd_econ, truncation_rank
+from .linalg import _normalize_eigenvectors
 from .signals import TimeSeries
 
 __all__ = [
@@ -225,25 +226,6 @@ def eigenvalue_to_rates(mu: complex, dt: float) -> tuple[float, float]:
     return delta, angle / dt
 
 
-def _normalize_shapes(shapes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-normalize shape columns with a real-positive pivot entry.
-
-    Returns the normalized columns and a boolean mask of non-degenerate
-    (nonzero) columns.
-    """
-    shapes = np.asarray(shapes, dtype=complex)
-    norms = np.linalg.norm(shapes, axis=0)
-    ok = norms > 0
-    safe = np.where(ok, norms, 1.0)
-    out = shapes / safe
-    pivot_rows = np.argmax(np.abs(out), axis=0)
-    pivots = out[pivot_rows, np.arange(out.shape[1])]
-    mags = np.abs(pivots)
-    mags[mags == 0] = 1.0
-    out = out * (pivots.conj() / mags)
-    return out, ok
-
-
 def _fit_b(shapes: np.ndarray, lam: np.ndarray, data: np.ndarray) -> np.ndarray:
     """Least-squares complex amplitudes over all snapshots.
 
@@ -322,11 +304,11 @@ def _merge_duplicates(
             out_shapes[:, gi] = shapes[:, rep]
             out_b[gi] = 0.0
         else:
-            unit, _ = _normalize_shapes(combined[:, None])
-            out_shapes[:, gi] = unit[:, 0]
+            unit = _normalize_eigenvectors(combined[:, None])[:, 0]
+            out_shapes[:, gi] = unit
             # phase moved out of the shape goes back into the amplitude
-            pivot = np.argmax(np.abs(unit[:, 0]))
-            rotation = combined[pivot] / (norm * unit[pivot, 0])
+            pivot = np.argmax(np.abs(unit))
+            rotation = combined[pivot] / (norm * unit[pivot])
             out_b[gi] = norm * rotation
     return out_lam, out_shapes, out_b
 
@@ -448,7 +430,8 @@ def _assemble(
         raise DegenerateInputError("all eigenvalues collapsed to zero")
     lam, shapes = lam[keep], shapes[:, keep]
 
-    shapes, ok = _normalize_shapes(shapes)
+    ok = np.linalg.norm(shapes, axis=0) > 0
+    shapes = _normalize_eigenvectors(shapes.astype(complex))
     lam, shapes = lam[ok], shapes[:, ok]
     if lam.size == 0:
         raise DegenerateInputError("no usable mode shapes")

@@ -2,13 +2,15 @@
 
 Every float is written with 17 significant digits, so write -> read round
 trips reproduce values bit-exactly.  All files start with one ``#`` header
-line of space-separated key=value metadata.
+line of space-separated key=value metadata, then an optional line of column
+names, then rows of comma-separated floats.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from typing import Sequence
 
 import numpy as np
@@ -19,6 +21,7 @@ from .kds import Spectrum
 from .signals import TimeSeries
 
 __all__ = [
+    "MalformedFileError",
     "write_timeseries",
     "read_timeseries",
     "write_modes",
@@ -29,9 +32,12 @@ __all__ = [
     "read_tracks",
 ]
 
+# rows formatted per write call: bounds the text held in memory at once
+_CHUNK_ROWS = 2**16
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+
+class MalformedFileError(ValueError):
+    """Input file that does not follow the CSV table format."""
 
 
 def _meta_line(pairs: dict) -> str:
@@ -40,7 +46,7 @@ def _meta_line(pairs: dict) -> str:
         if isinstance(value, bool):
             text = str(value).lower()
         elif isinstance(value, float):
-            text = _fmt(value)
+            text = "%.17g" % value
         else:
             text = str(value)
         if " " in text:
@@ -50,8 +56,6 @@ def _meta_line(pairs: dict) -> str:
 
 
 def _parse_meta(line: str) -> dict:
-    if not line.startswith("#"):
-        raise ValueError(f"expected a '#' header line, got {line!r}")
     meta: dict = {}
     for token in line.lstrip("#").split():
         key, _, raw = token.partition("=")
@@ -69,6 +73,63 @@ def _parse_meta(line: str) -> dict:
     return meta
 
 
+def _write_table(path, header: str, columns, names=None) -> None:
+    """Write the header line, the optional column names, then the float rows.
+
+    ``columns`` is a sequence of equal-length 1-D arrays, one per CSV column.
+    """
+    columns = [np.asarray(col, dtype=float) for col in columns]
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n")
+        if names is not None:
+            fh.write(",".join(names) + "\n")
+        for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+            chunk = zip(*(col[lo : lo + _CHUNK_ROWS].tolist() for col in columns))
+            fh.write("".join(map(row.__mod__, chunk)))
+
+
+def _first_bad_line(path, skip: int):
+    """1-based number of the first data line that is non-numeric or ragged."""
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        # loadtxt skips blank lines and drops '#' comments
+        texts = [(lineno, line.split("#")[0]) for lineno, line in enumerate(fh, 1)]
+    rows = [(n, text.split(",")) for n, text in texts[skip:] if text.strip()]
+    for lineno, fields in rows:
+        try:
+            list(map(float, fields))
+        except ValueError:
+            return lineno
+        if len(fields) != len(rows[0][1]):
+            return lineno
+    return None
+
+
+def _read_table(path, with_names: bool):
+    """Header metadata, column names (or None) and the (rows, columns) floats."""
+    skip = 2 if with_names else 1
+    with open(path, "r", encoding="ascii") as fh:
+        first = fh.readline()
+        if not first.startswith("#"):
+            raise MalformedFileError(f"{path}, line 1: expected a '#' header line")
+        meta = _parse_meta(first)
+        names = fh.readline().strip().split(",") if with_names else None
+        try:
+            with warnings.catch_warnings():
+                # a file without data rows is a valid empty table
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            # loadtxt's own "at row N" skips the header and blank lines
+            reason = str(exc).split(" at row ")[0]
+            lineno = _first_bad_line(path, skip)
+            where = path if lineno is None else f"{path}, line {lineno}"
+            raise MalformedFileError(f"{where}: {reason}") from exc
+    if names is not None and table.size == 0:
+        table = table.reshape(0, len(names))
+    return meta, names, table
+
+
 def write_timeseries(path, ts: TimeSeries) -> None:
     """Single-channel series: '# dt=.. t0=..' then one sample per line.
 
@@ -77,31 +138,17 @@ def write_timeseries(path, ts: TimeSeries) -> None:
     x = np.asarray(ts.samples)
     if x.ndim != 1:
         raise ValueError("CSV serialization handles single-channel series only")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(_meta_line({"dt": ts.dt, "t0": ts.t0}) + "\n")
-        if np.iscomplexobj(x):
-            for z in x:
-                fh.write(f"{_fmt(z.real)},{_fmt(z.imag)}\n")
-        else:
-            for v in x:
-                fh.write(f"{_fmt(v)}\n")
+    columns = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+    _write_table(path, _meta_line({"dt": ts.dt, "t0": ts.t0}), columns)
 
 
 def read_timeseries(path) -> TimeSeries:
-    with open(path, "r", encoding="ascii") as fh:
-        meta = _parse_meta(fh.readline())
-        rows = [line.strip() for line in fh if line.strip()]
-    if not rows:
-        raise ValueError(f"{path}: no samples")
-    width = rows[0].count(",") + 1
-    if width == 1:
-        samples = np.array([float(r) for r in rows])
-    elif width == 2:
-        samples = np.array(
-            [complex(*(float(p) for p in r.split(","))) for r in rows]
-        )
-    else:
-        raise ValueError(f"{path}: expected 1 (real) or 2 (complex) columns")
+    meta, _, table = _read_table(path, with_names=False)
+    if table.size == 0:
+        raise MalformedFileError(f"{path}: no samples")
+    if table.shape[1] > 2:
+        raise MalformedFileError(f"{path}: expected 1 (real) or 2 (complex) columns")
+    samples = table[:, 0] if table.shape[1] == 1 else table.view(complex)[:, 0]
     return TimeSeries(samples, dt=float(meta["dt"]), t0=float(meta.get("t0", 0.0)))
 
 
@@ -121,80 +168,44 @@ def write_modes(
     ranks: tuple[int, int, int],
 ) -> None:
     """Mode list: rates, amplitude, phase, and per-channel shape columns."""
-    header = f"# dt={_fmt(dt)} d={d} ranks={ranks[0]},{ranks[1]},{ranks[2]}"
+    header = _meta_line({"dt": dt, "d": d, "ranks": ",".join(map(str, ranks))})
     n_channels = modes[0].shape.size if modes else 1
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        fh.write(",".join(_mode_columns(n_channels)) + "\n")
-        for m in modes:
-            fields = [
-                _fmt(m.frequency_hz),
-                _fmt(m.growth_rate),
-                _fmt(m.amplitude),
-                _fmt(m.phase_rad),
-            ]
-            for z in m.shape:
-                fields += [_fmt(z.real), _fmt(z.imag)]
-            fh.write(",".join(fields) + "\n")
+    rates = np.array(
+        [(m.frequency_hz, m.growth_rate, m.amplitude, m.phase_rad) for m in modes]
+    ).reshape(len(modes), 4)
+    shapes = np.array([m.shape for m in modes], dtype=complex)
+    parts = shapes.view(float).reshape(len(modes), 2 * n_channels)  # re,im pairs
+    _write_table(path, header, np.hstack([rates, parts]).T, _mode_columns(n_channels))
 
 
 def read_modes(path) -> tuple[list[Mode], dict]:
     """Mode list plus header metadata (dt, d, ranks)."""
-    with open(path, "r", encoding="ascii") as fh:
-        meta = _parse_meta(fh.readline())
-        header = fh.readline().strip().split(",")
-        rows = [line.strip() for line in fh if line.strip()]
+    meta, _, table = _read_table(path, with_names=True)
     dt = float(meta["dt"])
     if isinstance(meta.get("ranks"), str):
         meta["ranks"] = tuple(int(v) for v in meta["ranks"].split(","))
-    n_channels = (len(header) - 4) // 2
-    modes = []
-    for row in rows:
-        vals = [float(v) for v in row.split(",")]
-        freq, growth, amp, phase = vals[:4]
-        shape = np.array(
-            [complex(vals[4 + 2 * c], vals[5 + 2 * c]) for c in range(n_channels)]
-        )
-        eigenvalue = cmath.exp(complex(growth, 2.0 * math.pi * freq) * dt)
-        modes.append(
-            Mode(
-                frequency_hz=freq,
-                growth_rate=growth,
-                amplitude=amp,
-                phase_rad=phase,
-                shape=shape,
-                eigenvalue=eigenvalue,
-            )
-        )
+    shapes = np.ascontiguousarray(table[:, 4:]).view(complex)  # re,im pairs
+    modes = [
+        Mode(f, g, a, p, shape, cmath.exp(complex(g, 2.0 * math.pi * f) * dt))
+        for (f, g, a, p), shape in zip(table[:, :4].tolist(), shapes)
+    ]
     return modes, meta
 
 
 def write_spectrum(path, spec: Spectrum) -> None:
     """Spectrum: '#' metadata echo, then frequency_hz,value rows."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(_meta_line(spec.meta) + "\n")
-        fh.write("frequency_hz,value\n")
-        for f, v in zip(spec.frequencies, spec.values):
-            fh.write(f"{_fmt(f)},{_fmt(v)}\n")
+    columns = (spec.frequencies, spec.values)
+    _write_table(path, _meta_line(spec.meta), columns, ("frequency_hz", "value"))
 
 
 def read_spectrum(path) -> Spectrum:
-    with open(path, "r", encoding="ascii") as fh:
-        meta = _parse_meta(fh.readline())
-        fh.readline()  # column names
-        rows = [line.strip() for line in fh if line.strip()]
-    freqs = np.empty(len(rows))
-    values = np.empty(len(rows))
-    for i, row in enumerate(rows):
-        f, v = row.split(",")
-        freqs[i] = float(f)
-        values[i] = float(v)
-    return Spectrum(freqs, values, meta)
+    meta, _, table = _read_table(path, with_names=True)
+    return Spectrum(table[:, 0], table[:, 1], meta)
 
 
 _TRACK_COLUMNS = (
     "window_start_index,window_start_time,frequency_hz,growth_rate,amplitude,phase_rad"
-)
+).split(",")
 
 
 def write_tracks(
@@ -212,30 +223,20 @@ def write_tracks(
     in-memory tracks.
     """
     header = _meta_line({"dt": dt, "window_len": window_len, "hop": hop, "d": d})
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        fh.write(_TRACK_COLUMNS + "\n")
-        for track in tracks:
-            for m in track.modes:
-                fh.write(
-                    f"{track.window_start_index},{_fmt(track.window_start_time)},"
-                    f"{_fmt(m.frequency_hz)},{_fmt(m.growth_rate)},"
-                    f"{_fmt(m.amplitude)},{_fmt(m.phase_rad)}\n"
-                )
+    rows = [
+        (t.window_start_index, t.window_start_time, m.frequency_hz, m.growth_rate,
+         m.amplitude, m.phase_rad)
+        for t in tracks
+        for m in t.modes
+    ]
+    _write_table(path, header, np.reshape(rows, (-1, 6)).T, _TRACK_COLUMNS)
 
 
 def read_tracks(path) -> tuple[list[dict], dict]:
     """Track rows as dicts (column name -> value) plus header metadata."""
-    with open(path, "r", encoding="ascii") as fh:
-        meta = _parse_meta(fh.readline())
-        columns = fh.readline().strip().split(",")
-        rows = []
-        for line in fh:
-            if not line.strip():
-                continue
-            raw = line.strip().split(",")
-            row = {columns[0]: int(raw[0])}
-            for name, value in zip(columns[1:], raw[1:]):
-                row[name] = float(value)
-            rows.append(row)
+    meta, columns, table = _read_table(path, with_names=True)
+    rows = [
+        {columns[0]: int(row[0]), **dict(zip(columns[1:], row[1:]))}
+        for row in table.tolist()
+    ]
     return rows, meta

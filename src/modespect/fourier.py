@@ -37,6 +37,19 @@ def dft(ts: TimeSeries) -> np.ndarray:
     return np.fft.fft(x)
 
 
+def _one_sided_psd(segments: np.ndarray, w: np.ndarray, fs: float) -> np.ndarray:
+    """One-sided PSD along the last axis, scaled as documented on periodogram."""
+    if np.iscomplexobj(segments):
+        raise ValueError("one-sided PSD is defined for real signals")
+    coeffs = np.fft.rfft(segments * w, axis=-1)
+    psd = (coeffs.real**2 + coeffs.imag**2) / (fs * float(np.sum(w * w)))
+    if w.size % 2 == 0:
+        psd[..., 1:-1] *= 2.0
+    else:
+        psd[..., 1:] *= 2.0
+    return psd
+
+
 def periodogram(ts: TimeSeries, window: Window = "rectangular") -> Spectrum:
     """One-sided power spectral density of a single-channel real series.
 
@@ -47,18 +60,10 @@ def periodogram(ts: TimeSeries, window: Window = "rectangular") -> Spectrum:
     x = np.asarray(ts.samples)
     if x.ndim != 1:
         raise ValueError("periodogram expects a single-channel series")
-    if np.iscomplexobj(x):
-        raise ValueError("one-sided PSD is defined for real signals")
     n = x.size
     if n < 2:
         raise ValueError("need at least two samples")
-    w = _window_samples(window, n)
-    coeffs = np.fft.rfft(x * w)
-    psd = (coeffs.real**2 + coeffs.imag**2) / (ts.fs * float(np.sum(w * w)))
-    if n % 2 == 0:
-        psd[1:-1] *= 2.0
-    else:
-        psd[1:] *= 2.0
+    psd = _one_sided_psd(x, _window_samples(window, n), ts.fs)
     freqs = np.arange(psd.size) * (ts.fs / n)
     meta = {"source": "periodogram", "window": window, "fs": ts.fs, "n": n}
     return Spectrum(freqs, psd, meta)
@@ -99,14 +104,9 @@ def welch(ts: TimeSeries, cfg: WelchConfig) -> Spectrum:
     if n < seg:
         raise ValueError(f"signal ({n} samples) shorter than one segment ({seg})")
     step = max(1, int(round(seg * (1.0 - cfg.overlap_fraction))))
-    starts = range(0, n - seg + 1, step)
-    acc = None
-    count = 0
-    for start in starts:  # deterministic averaging order
-        piece = TimeSeries(x[start : start + seg], ts.dt)
-        values = periodogram(piece, cfg.window).values
-        acc = values if acc is None else acc + values
-        count += 1
+    segments = np.lib.stride_tricks.sliding_window_view(x, seg)[::step]
+    count = segments.shape[0]
+    psd = _one_sided_psd(segments, _window_samples(cfg.window, seg), ts.fs)
     freqs = np.arange(seg // 2 + 1) * (ts.fs / seg)
     meta = {
         "source": "welch",
@@ -116,4 +116,5 @@ def welch(ts: TimeSeries, cfg: WelchConfig) -> Spectrum:
         "overlap_fraction": cfg.overlap_fraction,
         "segments": count,
     }
-    return Spectrum(freqs, acc / count, meta)
+    # a sum over axis 0 adds the segments in order: deterministic averaging
+    return Spectrum(freqs, psd.sum(axis=0) / count, meta)

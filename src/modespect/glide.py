@@ -16,7 +16,6 @@ import numpy as np
 
 from .decompose import (
     DegenerateInputError,
-    Decomposition,
     HodmdConfig,
     Mode,
     SnapshotMatrix,
@@ -60,14 +59,15 @@ class ModeTrack:
 def _decompose_window(
     data: np.ndarray, dt: float, cfg: HodmdConfig, start: int, start_time: float
 ) -> ModeTrack:
-    snap = SnapshotMatrix(np.atleast_2d(data), dt)
-    try:
-        dec: Decomposition = hodmd(snap, cfg)
-    except DegenerateInputError:
-        return ModeTrack(start, start_time, (), (math.nan, math.nan), failed=True)
-    return ModeTrack(
-        start, start_time, dec.modes, (dec.relative_rms, dec.relative_max)
-    )
+    """One window's track; bad samples or a failed factorization mark it failed."""
+    if np.all(np.isfinite(data)):
+        try:
+            dec = hodmd(SnapshotMatrix(np.atleast_2d(data), dt), cfg)
+            errors = (dec.relative_rms, dec.relative_max)
+            return ModeTrack(start, start_time, dec.modes, errors)
+        except (DegenerateInputError, np.linalg.LinAlgError):
+            pass
+    return ModeTrack(start, start_time, (), (math.nan, math.nan), failed=True)
 
 
 def gliding_hodmd(ts: TimeSeries, cfg: GlideConfig) -> list[ModeTrack]:

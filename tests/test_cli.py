@@ -137,6 +137,20 @@ class TestDecompose:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "row, reason", [("abc", "abc"), ("1.0,2.0", "columns")], ids=["text", "ragged"]
+    )
+    def test_malformed_input_row_exit_1(self, tmp_path, capsys, row, reason):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# dt=4e-05 t0=0\n" + "0.5\n" * 40 + row + "\n")
+        code = run(
+            "decompose", "--in", str(bad), "--d", "4",
+            "--out-modes", str(tmp_path / "m.csv"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "bad.csv, line 42:" in err and reason in err
+
     def test_identical_output_paths_exit_2(self, tmp_path, case1_file):
         same = str(tmp_path / "same.csv")
         code = run(

@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modespect import (
@@ -16,6 +18,7 @@ from modespect import (
     preset_components,
 )
 from modespect.fileio import (
+    MalformedFileError,
     read_modes,
     read_spectrum,
     read_timeseries,
@@ -35,8 +38,14 @@ reasonable_floats = st.floats(
 
 @settings(max_examples=200, deadline=None)
 @given(x=reasonable_floats)
-def test_seventeen_digits_round_trip(x):
-    assert float(format(x, ".17g")) == x
+@example(x=-0.0)
+@example(x=5e-324)
+def test_seventeen_digits_round_trip(tmp_path_factory, x):
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    samples = np.array([x, -x])
+    write_timeseries(path, TimeSeries(samples, 1.0))
+    # bytes, not ==, so the sign of zero counts
+    assert read_timeseries(path).samples.tobytes() == samples.tobytes()
 
 
 class TestTimeSeriesCsv:
@@ -81,6 +90,31 @@ class TestTimeSeriesCsv:
     def test_missing_file_gives_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_timeseries(tmp_path / "nope.csv")
+
+    def test_header_only_has_no_samples(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("# dt=1 t0=0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no samples"):
+                read_timeseries(path)
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [("1\n2\nabc\n", 4), ("1\n\n2\n3,4\n", 5), ("1,2\n3\n", 3)],
+        ids=["non-numeric", "ragged-after-blank", "ragged-short"],
+    )
+    def test_malformed_row_names_file_line(self, tmp_path, body, line):
+        path = tmp_path / "bad.csv"
+        path.write_text("# dt=1 t0=0\n" + body)
+        with pytest.raises(MalformedFileError, match=f"bad.csv, line {line}:"):
+            read_timeseries(path)
+
+    def test_missing_header_is_malformed(self, tmp_path):
+        path = tmp_path / "bare.csv"
+        path.write_text("1\n2\n")
+        with pytest.raises(MalformedFileError, match="line 1"):
+            read_timeseries(path)
 
 
 class TestModesCsv:
@@ -162,3 +196,12 @@ class TestTracksCsv:
                 assert row["frequency_hz"] == m.frequency_hz
                 assert row["amplitude"] == m.amplitude
                 i += 1
+
+    def test_no_rows_reads_empty(self, tmp_path):
+        path = tmp_path / "tracks.csv"
+        write_tracks(path, [], dt=1.0, window_len=512, hop=64, d=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, meta = read_tracks(path)
+        assert rows == []
+        assert meta["window_len"] == 512

@@ -16,6 +16,7 @@ from modespect import (
     pool_modes,
     synth_decaying_sum,
 )
+from modespect import glide as glide_module
 
 FS = 25_000.0
 DT = 1.0 / FS
@@ -120,6 +121,30 @@ class TestGlidingHodmd:
         assert [t.failed for t in tracks] == [False, True, False]
         assert tracks[1].modes == ()
         assert math.isnan(tracks[1].errors[0])
+
+    def test_nan_sample_fails_only_its_window(self):
+        ts = stationary_signal()
+        samples = ts.samples.copy()
+        samples[1000] = np.nan
+        cfg = GlideConfig(window_len=512, hodmd=small_cfg(), hop=512)
+        tracks = gliding_hodmd(TimeSeries(samples, ts.dt), cfg)
+        assert [t.failed for t in tracks] == [i == 1 for i in range(8)]
+        assert tracks[1].modes == ()
+        assert all(t.modes for i, t in enumerate(tracks) if i != 1)
+
+    def test_linalg_error_fails_only_its_window(self, monkeypatch):
+        ts = stationary_signal(n=1536)
+        real_hodmd = glide_module.hodmd
+
+        def flaky_hodmd(snap, cfg):  # LAPACK gives up on the middle window only
+            if snap.data[0, 0] == ts.samples[512]:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real_hodmd(snap, cfg)
+
+        monkeypatch.setattr(glide_module, "hodmd", flaky_hodmd)
+        cfg = GlideConfig(window_len=512, hodmd=small_cfg(), hop=512)
+        tracks = gliding_hodmd(ts, cfg)
+        assert [t.failed for t in tracks] == [False, True, False]
 
 
 class TestGlideConfig:
