@@ -33,6 +33,7 @@ from .decompose import (
     DegenerateInputError,
     HodmdConfig,
     SizingError,
+    _mode_columns,
     build_snapshots,
     hodmd,
 )
@@ -144,6 +145,33 @@ def _run_kds(modes, kds_cfg: KdsConfig):
         raise ConfigError(str(exc)) from exc
 
 
+def _fourier_method(args, cfg: RunConfig) -> str:
+    method = pick(args.method, cfg, "fft", "method", str, "periodogram")
+    if method not in ("periodogram", "welch"):
+        raise ConfigError(f"method must be periodogram or welch, got {method!r}")
+    return method
+
+
+def _fourier_spectrum(args, cfg: RunConfig, ts, method: str):
+    """Periodogram or Welch estimate of ``ts`` under the [fft] settings."""
+    try:
+        if method == "welch":
+            return welch(ts, _welch_settings(args, cfg, len(ts)))
+        window = pick(args.window, cfg, "fft", "window", str, "rectangular")
+        return periodogram(ts, window)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _summary(dec) -> dict:
+    """Ranks and reconstruction errors, shared by the decompose and compare reports."""
+    return {
+        "ranks": dict(zip(("spatial", "temporal", "modes"), dec.ranks)),
+        "relative_rms": dec.relative_rms,
+        "relative_max": dec.relative_max,
+    }
+
+
 def _cmd_synth(args) -> int:
     cfg = RunConfig.load(args.config)
     preset = pick(args.preset, cfg, "synth", "preset", str, None)
@@ -151,15 +179,13 @@ def _cmd_synth(args) -> int:
     n = pick(args.n, cfg, "synth", "n", int, None)
     sigma = pick(args.noise_sigma, cfg, "synth", "noise_sigma", float, 0.0)
     seed = pick(args.seed, cfg, "synth", "seed", int, 0)
+    fs = fs if fs is not None else PRESET_FS
+    n = n if n is not None else PRESET_N
     if preset is not None:
         components = list(preset_components(preset))
-        fs = fs if fs is not None else PRESET_FS
-        n = n if n is not None else PRESET_N
     else:
         entries = list(args.component or []) or cfg.component_entries()
         components = parse_components(entries)
-        fs = fs if fs is not None else PRESET_FS
-        n = n if n is not None else PRESET_N
     if not (fs > 0):
         raise ConfigError(f"fs must be positive, got {fs}")
     if n < 1:
@@ -189,13 +215,7 @@ def _cmd_decompose(args) -> int:
         summary = {
             "input": str(args.infile),
             "d": hodmd_cfg.d,
-            "ranks": {
-                "spatial": dec.ranks[0],
-                "temporal": dec.ranks[1],
-                "modes": dec.ranks[2],
-            },
-            "relative_rms": dec.relative_rms,
-            "relative_max": dec.relative_max,
+            **_summary(dec),
             "wall_time_s": elapsed,
         }
         with open(args.out_summary, "w", encoding="ascii") as fh:
@@ -215,19 +235,9 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_fft(args) -> int:
     cfg = RunConfig.load(args.config)
-    method = pick(args.method, cfg, "fft", "method", str, "periodogram")
-    if method not in ("periodogram", "welch"):
-        raise ConfigError(f"method must be periodogram or welch, got {method!r}")
+    method = _fourier_method(args, cfg)
     ts = fileio.read_timeseries(args.infile)
-    try:
-        if method == "periodogram":
-            window = pick(args.window, cfg, "fft", "window", str, "rectangular")
-            spec = periodogram(ts, window)
-        else:
-            spec = welch(ts, _welch_settings(args, cfg, len(ts)))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    fileio.write_spectrum(args.out, spec)
+    fileio.write_spectrum(args.out, _fourier_spectrum(args, cfg, ts, method))
     return EXIT_OK
 
 
@@ -281,15 +291,11 @@ def _cmd_compare(args) -> int:
     ts = fileio.read_timeseries(args.infile)
     hodmd_cfg = _build_hodmd_config(args, cfg, ts.dt)
     kds_cfg = _kds_config(args, cfg)
-    method = pick(args.method, cfg, "fft", "method", str, "periodogram")
+    method = _fourier_method(args, cfg)
     started = time.perf_counter()
     dec = hodmd(build_snapshots(ts), hodmd_cfg)
     mode_spec = _run_kds(list(dec.modes), kds_cfg)
-    if method == "welch":
-        fft_spec = welch(ts, _welch_settings(args, cfg, len(ts)))
-    else:
-        window = pick(args.window, cfg, "fft", "window", str, "rectangular")
-        fft_spec = periodogram(ts, window)
+    fft_spec = _fourier_spectrum(args, cfg, ts, method)
     elapsed = time.perf_counter() - started
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -307,20 +313,14 @@ def _cmd_compare(args) -> int:
             "kds_spectrum_csv": str(kds_path),
             "fft_spectrum_csv": str(fft_path),
         },
-        "ranks": {
-            "spatial": dec.ranks[0],
-            "temporal": dec.ranks[1],
-            "modes": dec.ranks[2],
-        },
-        "relative_rms": dec.relative_rms,
-        "relative_max": dec.relative_max,
+        **_summary(dec),
         "wall_time_s": elapsed,
     }
     if truths is not None:
-        mode_freqs = [m.frequency_hz for m in dec.modes]
+        mode_freqs = _mode_columns(dec.modes)[0]
         report["truth_hz"] = truths
         report["mode_errors_hz"] = [
-            min(abs(mf - f) for mf in mode_freqs) for f in truths
+            float(np.min(np.abs(mode_freqs - f))) for f in truths
         ]
         report["fft_peak_errors_hz"] = _nearest_peak_errors(
             fft_spec, truths, args.peak_prominence

@@ -21,7 +21,7 @@ import numpy as np
 
 from .linalg import Tolerance, TruncationPolicy, eig, lstsq, svd_econ, truncation_rank
 from .linalg import _normalize_eigenvectors
-from .signals import TimeSeries
+from .signals import TimeSeries, relative_max_error, relative_rms_error
 
 __all__ = [
     "SizingError",
@@ -252,16 +252,32 @@ def _fit_b(shapes: np.ndarray, lam: np.ndarray, data: np.ndarray) -> np.ndarray:
     return sol
 
 
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| per element via hypot, bit-identical to abs(); np.abs may differ (SIMD)."""
+    return np.hypot(z.real, z.imag)
+
+
+def _mode_columns(modes: Sequence[Mode]) -> tuple[np.ndarray, ...]:
+    """frequency_hz, growth_rate, amplitude, phase_rad, eigenvalue and b arrays
+    of a mode list, then its (channels, modes) shape matrix."""
+    n = len(modes)
+    m = modes[0].shape.size if modes else 1
+    rates = [(x.frequency_hz, x.growth_rate, x.amplitude, x.phase_rad) for x in modes]
+    lam = np.array([x.eigenvalue for x in modes], dtype=complex)
+    b = np.array([x.b for x in modes], dtype=complex)
+    shapes = np.array([x.shape for x in modes], dtype=complex).reshape(n, m)
+    return (*np.reshape(rates, (n, 4)).T, lam, b, shapes.T)
+
+
 def fit_amplitudes(modes: Sequence[Mode], x: SnapshotMatrix) -> np.ndarray:
     """Complex amplitude per mode, fitted against every snapshot of ``x``."""
     if len(modes) == 0:
         raise ValueError("mode list is empty")
-    shapes = np.column_stack([m.shape for m in modes]).astype(complex)
+    *_, lam, _, shapes = _mode_columns(modes)
     if shapes.shape[0] != x.n_channels:
         raise ValueError(
             f"shape length {shapes.shape[0]} does not match {x.n_channels} channels"
         )
-    lam = np.array([m.eigenvalue for m in modes], dtype=complex)
     return _fit_b(shapes, lam, x.data)
 
 
@@ -270,67 +286,45 @@ def _merge_duplicates(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Merge eigenvalues equal within _MERGE_TOL relative; amplitudes summed.
 
-    The merged contribution keeps the combined weighted shape, re-split into
-    a unit shape and a complex amplitude; the surviving eigenvalue is the
-    member with the largest fitted amplitude.
+    Each still unassigned eigenvalue, in index order, leads a group of every
+    unassigned eigenvalue within tolerance of it.  The merged contribution
+    keeps the combined weighted shape, re-split into a unit shape and a
+    complex amplitude; the surviving eigenvalue is the member with the largest
+    fitted amplitude, the lowest index on ties.
     """
-    n = lam.size
-    groups: list[list[int]] = []
-    assigned = np.full(n, -1)
-    for i in range(n):
-        if assigned[i] >= 0:
-            continue
-        group = [i]
-        assigned[i] = len(groups)
-        for j in range(i + 1, n):
-            if assigned[j] >= 0:
-                continue
-            scale = max(abs(lam[i]), abs(lam[j]))
-            if abs(lam[i] - lam[j]) <= _MERGE_TOL * scale:
-                group.append(j)
-                assigned[j] = len(groups)
-        groups.append(group)
-    if len(groups) == n:
+    mag = _modulus(lam)
+    taken = np.zeros(lam.size, dtype=bool)
+    members = []  # one ascending index array per group
+    for i in range(lam.size):
+        if not taken[i]:
+            tail = slice(i, None)
+            scale = np.maximum(mag[i], mag[tail])
+            new = (_modulus(lam[i] - lam[tail]) <= _MERGE_TOL * scale) & ~taken[tail]
+            taken[tail] |= new
+            members.append(i + np.flatnonzero(new))
+    if len(members) == lam.size:
         return lam, shapes, b
-    out_lam = np.empty(len(groups), dtype=complex)
-    out_shapes = np.empty((shapes.shape[0], len(groups)), dtype=complex)
-    out_b = np.empty(len(groups), dtype=complex)
-    for gi, group in enumerate(groups):
-        rep = max(group, key=lambda idx: (abs(b[idx]), -idx))
-        out_lam[gi] = lam[rep]
-        combined = shapes[:, group] @ b[group]
+    strength = _modulus(b)
+    out = []
+    for idx in members:
+        rep = idx[np.argmax(strength[idx])]
+        combined = shapes[:, idx] @ b[idx]
         norm = np.linalg.norm(combined)
         if norm == 0:
-            out_shapes[:, gi] = shapes[:, rep]
-            out_b[gi] = 0.0
-        else:
-            unit = _normalize_eigenvectors(combined[:, None])[:, 0]
-            out_shapes[:, gi] = unit
-            # phase moved out of the shape goes back into the amplitude
-            pivot = np.argmax(np.abs(unit))
-            rotation = combined[pivot] / (norm * unit[pivot])
-            out_b[gi] = norm * rotation
-    return out_lam, out_shapes, out_b
-
-
-def _pair_strengths(lam: np.ndarray, b: np.ndarray, real_input: bool) -> np.ndarray:
-    """Per-mode pruning strength; conjugate partners share one value."""
-    strength = np.abs(b)
-    if not real_input:
-        return strength
-    out = strength.copy()
-    imag_tol = _REAL_EIG_TOL * np.abs(lam)
-    pos = np.where(lam.imag > imag_tol)[0]
-    neg = np.where(lam.imag < -imag_tol)[0]
-    for i in pos:
-        if neg.size == 0:
+            out.append((rep, shapes[:, rep], 0.0))
             continue
-        j = neg[np.argmin(np.abs(lam[neg] - lam[i].conjugate()))]
-        scale = max(abs(lam[i]), 1.0)
-        if abs(lam[j] - lam[i].conjugate()) <= 1e-6 * scale:
-            shared = max(out[i], out[j])
-            out[i] = out[j] = shared
-    return out
+        unit = _normalize_eigenvectors(combined[:, None])[:, 0]
+        # phase moved out of the shape goes back into the amplitude
+        pivot = np.argmax(np.abs(unit))
+        out.append((rep, unit, norm * (combined[pivot] / (norm * unit[pivot]))))
+    reps, out_shapes, out_b = zip(*out)
+    return lam[list(reps)], np.column_stack(out_shapes), np.array(out_b, dtype=complex)
+
+
+def _pair_sides(lam: np.ndarray) -> np.ndarray:
+    """+1 for the upper member of a conjugate pair, -1 for the lower, 0 if real."""
+    imag_tol = _REAL_EIG_TOL * _modulus(lam)
+    return (lam.imag > imag_tol).astype(int) - (lam.imag < -imag_tol)
 
 
 def _amplitude_truncate(
@@ -344,9 +338,16 @@ def _amplitude_truncate(
 
     The policy is applied to the amplitude sequence sorted descending (square
     aspect ratio for the hard-threshold rule); everything at or above the
-    cut-off amplitude survives.
+    cut-off amplitude survives.  For real input, conjugate partners share the
+    larger of their two amplitudes.
     """
-    strength = _pair_strengths(lam, b, real_input)
+    strength = np.abs(b)
+    side = _pair_sides(lam) if real_input else np.zeros(lam.size)
+    neg = np.flatnonzero(side < 0)
+    for i in np.flatnonzero(side > 0) if neg.size else ():
+        j = neg[np.argmin(np.abs(lam[neg] - lam[i].conjugate()))]
+        if abs(lam[j] - lam[i].conjugate()) <= 1e-6 * max(abs(lam[i]), 1.0):
+            strength[i] = strength[j] = max(strength[i], strength[j])
     order = np.argsort(strength)[::-1]
     ranked = strength[order]
     r = truncation_rank(ranked, policy, (ranked.size, ranked.size))
@@ -357,46 +358,42 @@ def _amplitude_truncate(
 
 
 def _report_modes(
-    lam: np.ndarray,
-    shapes: np.ndarray,
-    b: np.ndarray,
-    dt: float,
-    real_input: bool,
-) -> list[Mode]:
-    """Build the public mode list under the conjugate-pair reporting rule."""
-    modes = []
-    for i in range(lam.size):
-        mu = complex(lam[i])
-        imag_tol = _REAL_EIG_TOL * abs(mu)
-        doubled = False
-        if real_input:
-            if mu.imag < -imag_tol:
-                continue  # conjugate partner of a reported mode
-            doubled = mu.imag > imag_tol
-        delta, omega = eigenvalue_to_rates(mu, dt)
-        amp = abs(b[i])
-        modes.append(
-            Mode(
-                frequency_hz=omega / (2.0 * math.pi),
-                growth_rate=delta,
-                amplitude=2.0 * amp if doubled else amp,
-                phase_rad=cmath.phase(b[i]) if amp > 0 else 0.0,
-                shape=shapes[:, i],
-                eigenvalue=mu,
-            )
-        )
-    modes.sort(key=lambda m: (m.frequency_hz, m.growth_rate, -m.amplitude))
-    return modes
+    lam: np.ndarray, shapes: np.ndarray, b: np.ndarray, dt: float, real_input: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Mode]]:
+    """Apply the conjugate-pair reporting rule; the reported arrays and modes.
+
+    For real input the lower partner of each pair is dropped and the upper
+    one carries twice its amplitude.  Modes are ordered by frequency, growth
+    rate, then descending amplitude; the arrays come back in the same order.
+    """
+    lam = lam.astype(complex)  # real eigenvalues are reported as complex too
+    if real_input:
+        side = _pair_sides(lam)
+        keep = side >= 0
+        b = np.where(side > 0, 2.0 * b, b)  # x2 is exact: |b| and phase too
+        lam, shapes, b = lam[keep], shapes[:, keep], b[keep]
+    # math.log/atan2 per mode: numpy's SIMD log/arctan2 may differ in the last bit
+    rates = [eigenvalue_to_rates(mu, dt) for mu in lam.tolist()]
+    growth, omega = np.reshape(rates, (-1, 2)).T
+    freq = omega / (2.0 * math.pi)
+    amp = _modulus(b)
+    order = np.lexsort((-amp, growth, freq))
+    lam, shapes, b = lam[order], shapes[:, order], b[order]
+    rows = zip(freq[order].tolist(), growth[order].tolist(), amp[order].tolist())
+    modes = [
+        Mode(f, g, a, cmath.phase(bi) if a > 0 else 0.0, shapes[:, i], mu)
+        for i, ((f, g, a), bi, mu) in enumerate(zip(rows, b.tolist(), lam.tolist()))
+    ]
+    return lam, shapes, b, modes
 
 
-def _mode_signal(modes: Sequence[Mode], n_samples: int, real_input: bool) -> np.ndarray:
-    """Sum the reported modes over k = 0 .. n_samples-1; (channels, n)."""
-    m = modes[0].shape.size
-    acc = np.zeros((m, n_samples), dtype=complex)
-    k = np.arange(n_samples)
-    for mode in modes:
-        acc += np.outer(mode.shape, mode.eigenvalue**k * mode.b)
-    return acc.real if real_input else acc
+def _mode_signal(
+    shapes: np.ndarray, lam: np.ndarray, b: np.ndarray, n_samples: int
+) -> np.ndarray:
+    """sum_m shape_m * lam_m**k * b_m for k = 0 .. n_samples-1; (channels, n)."""
+    powers = lam[:, None] ** np.arange(n_samples)  # (modes, n)
+    powers *= b[:, None]
+    return shapes @ powers
 
 
 def reconstruct(dec: Decomposition, n_samples: int) -> TimeSeries:
@@ -405,7 +402,10 @@ def reconstruct(dec: Decomposition, n_samples: int) -> TimeSeries:
         raise ValueError("decomposition has no modes")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    samples = _mode_signal(dec.modes, n_samples, dec.real_input)
+    *_, lam, b, shapes = _mode_columns(dec.modes)
+    samples = _mode_signal(shapes, lam, b, n_samples)
+    if dec.real_input:
+        samples = samples.real
     if samples.shape[0] == 1:
         samples = samples[0]
     return TimeSeries(samples, dt=dec.config.dt)
@@ -443,20 +443,17 @@ def _assemble(
             lam, shapes, b, cfg.amplitude_policy, real_input
         )
 
-    modes = _report_modes(lam, shapes, b, cfg.dt, real_input)
+    lam, shapes, b, modes = _report_modes(lam, shapes, b, cfg.dt, real_input)
     if not modes:
         raise DegenerateInputError("no reportable modes")
 
-    recon = _mode_signal(modes, k, real_input)
-    ref = x.data
-    ref_rms = float(np.linalg.norm(ref.ravel()))
-    ref_max = float(np.max(np.abs(ref)))
-    rel_rms = float(np.linalg.norm((ref - recon).ravel()) / ref_rms)
-    rel_max = float(np.max(np.abs(ref - recon)) / ref_max)
+    recon = _mode_signal(shapes, lam, b, k)
+    if real_input:
+        recon = recon.real
     return Decomposition(
         modes=tuple(modes),
-        relative_rms=rel_rms,
-        relative_max=rel_max,
+        relative_rms=relative_rms_error(x.data, recon),
+        relative_max=relative_max_error(x.data, recon),
         config=cfg,
         ranks=(ranks[0], ranks[1], len(modes)),
         real_input=real_input,

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .decompose import Mode
+from .decompose import Mode, _mode_columns
 from .glide import ModeTrack
 from .kds import Spectrum
 from .signals import TimeSeries
@@ -89,6 +89,16 @@ def _write_table(path, header: str, columns, names=None) -> None:
             fh.write("".join(map(row.__mod__, chunk)))
 
 
+def _header_dt(path, meta: dict) -> float:
+    """The header's sampling interval, which must be a positive number."""
+    dt = meta.get("dt")
+    if type(dt) not in (int, float) or not 0 < dt < math.inf:
+        raise MalformedFileError(
+            f"{path}, line 1: header needs dt=<positive number>, got {dt!r}"
+        )
+    return float(dt)
+
+
 def _first_bad_line(path, skip: int):
     """1-based number of the first data line that is non-numeric or ragged."""
     with open(path, "r", encoding="ascii", errors="replace") as fh:
@@ -149,10 +159,10 @@ def read_timeseries(path) -> TimeSeries:
     if table.shape[1] > 2:
         raise MalformedFileError(f"{path}: expected 1 (real) or 2 (complex) columns")
     samples = table[:, 0] if table.shape[1] == 1 else table.view(complex)[:, 0]
-    return TimeSeries(samples, dt=float(meta["dt"]), t0=float(meta.get("t0", 0.0)))
+    return TimeSeries(samples, dt=_header_dt(path, meta), t0=float(meta.get("t0", 0.0)))
 
 
-def _mode_columns(n_channels: int) -> list[str]:
+def _mode_column_names(n_channels: int) -> list[str]:
     cols = ["frequency_hz", "growth_rate", "amplitude", "phase_rad"]
     for c in range(n_channels):
         cols += [f"shape{c}_re", f"shape{c}_im"]
@@ -169,19 +179,15 @@ def write_modes(
 ) -> None:
     """Mode list: rates, amplitude, phase, and per-channel shape columns."""
     header = _meta_line({"dt": dt, "d": d, "ranks": ",".join(map(str, ranks))})
-    n_channels = modes[0].shape.size if modes else 1
-    rates = np.array(
-        [(m.frequency_hz, m.growth_rate, m.amplitude, m.phase_rad) for m in modes]
-    ).reshape(len(modes), 4)
-    shapes = np.array([m.shape for m in modes], dtype=complex)
-    parts = shapes.view(float).reshape(len(modes), 2 * n_channels)  # re,im pairs
-    _write_table(path, header, np.hstack([rates, parts]).T, _mode_columns(n_channels))
+    *rates, _, _, shapes = _mode_columns(modes)
+    parts = np.ascontiguousarray(shapes.T).view(float).T  # re,im pairs per channel
+    _write_table(path, header, [*rates, *parts], _mode_column_names(shapes.shape[0]))
 
 
 def read_modes(path) -> tuple[list[Mode], dict]:
     """Mode list plus header metadata (dt, d, ranks)."""
     meta, _, table = _read_table(path, with_names=True)
-    dt = float(meta["dt"])
+    dt = _header_dt(path, meta)
     if isinstance(meta.get("ranks"), str):
         meta["ranks"] = tuple(int(v) for v in meta["ranks"].split(","))
     shapes = np.ascontiguousarray(table[:, 4:]).view(complex)  # re,im pairs
@@ -223,13 +229,11 @@ def write_tracks(
     in-memory tracks.
     """
     header = _meta_line({"dt": dt, "window_len": window_len, "hop": hop, "d": d})
-    rows = [
-        (t.window_start_index, t.window_start_time, m.frequency_hz, m.growth_rate,
-         m.amplitude, m.phase_rad)
-        for t in tracks
-        for m in t.modes
-    ]
-    _write_table(path, header, np.reshape(rows, (-1, 6)).T, _TRACK_COLUMNS)
+    counts = [len(t.modes) for t in tracks]
+    starts = [(t.window_start_index, t.window_start_time) for t in tracks]
+    rates = _mode_columns([m for t in tracks for m in t.modes])[:4]
+    windows = np.repeat(np.reshape(starts, (-1, 2)), counts, axis=0).T
+    _write_table(path, header, [*windows, *rates], _TRACK_COLUMNS)
 
 
 def read_tracks(path) -> tuple[list[dict], dict]:

@@ -13,7 +13,7 @@ from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from .decompose import Mode
+from .decompose import Mode, _mode_columns
 
 __all__ = [
     "FrequencyGrid",
@@ -103,12 +103,9 @@ class Spectrum:
         object.__setattr__(self, "values", vals)
 
 
-def _time_constants(modes: Sequence[Mode], tau_max: float) -> np.ndarray:
-    taus = np.empty(len(modes))
-    for i, m in enumerate(modes):
-        decay = abs(m.growth_rate)
-        tau = 1.0 / decay if decay > 0 else math.inf
-        taus[i] = min(tau, tau_max)
+def _time_constants(growth: np.ndarray, tau_max: float) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        taus = np.minimum(1.0 / np.abs(growth), tau_max)
     if not np.all(np.isfinite(taus)):
         raise ValueError(
             "undamped mode gives an infinite time constant; set tau_max to the"
@@ -117,12 +114,12 @@ def _time_constants(modes: Sequence[Mode], tau_max: float) -> np.ndarray:
     return taus
 
 
-def _weights(modes: Sequence[Mode], cfg: KdsConfig) -> np.ndarray:
+def _weights(amps: np.ndarray, growth: np.ndarray, cfg: KdsConfig) -> np.ndarray:
     if cfg.weighting == "density":
-        return np.ones(len(modes))
+        return np.ones(amps.size)
     if cfg.weighting == "power":
-        return np.array([m.amplitude for m in modes]) ** 2
-    return _time_constants(modes, cfg.tau_max)
+        return amps**2
+    return _time_constants(growth, cfg.tau_max)
 
 
 def _meta(cfg: KdsConfig, grid: FrequencyGrid, n_modes: int) -> dict:
@@ -142,15 +139,11 @@ def _default_gaussian_grid(freqs: np.ndarray, h: float) -> FrequencyGrid:
     return FrequencyGrid(freqs.min() - margin, freqs.max() + margin, h / 5.0)
 
 
-def _lorentz_half_width(h: float, tau: float) -> float:
-    """Offset from the mode frequency at which the kernel halves."""
-    return math.sqrt(3.0) / (2.0 * math.pi * math.sqrt(h) * tau)
-
-
 def _default_lorentz_grid(
     freqs: np.ndarray, h: float, taus: np.ndarray
 ) -> FrequencyGrid:
-    widths = np.array([_lorentz_half_width(h, t) for t in taus])
+    # offset from each mode frequency at which its kernel halves
+    widths = math.sqrt(3.0) / (2.0 * math.pi * math.sqrt(h) * taus)
     margin = 20.0 * widths.max()
     return FrequencyGrid(freqs.min() - margin, freqs.max() + margin, widths.min() / 2.0)
 
@@ -165,13 +158,13 @@ def kds_gaussian(modes: Sequence[Mode], cfg: KdsConfig) -> Spectrum:
         raise ValueError("mode list is empty")
     if cfg.kernel != "gaussian":
         raise ValueError(f"config kernel is {cfg.kernel!r}, expected 'gaussian'")
-    mode_freqs = np.array([m.frequency_hz for m in modes])
+    mode_freqs, growth, amps, *_ = _mode_columns(modes)
     grid = cfg.grid or _default_gaussian_grid(mode_freqs, cfg.h)
     if not grid.step < cfg.h:
         raise ValueError(
             f"grid step {grid.step} must be smaller than the bandwidth h={cfg.h}"
         )
-    weights = _weights(modes, cfg)
+    weights = _weights(amps, growth, cfg)
     freqs = grid.frequencies()
     values = np.zeros_like(freqs)
     for fk, wk in zip(mode_freqs, weights):  # fixed summation order: mode index
@@ -196,9 +189,8 @@ def kds_lorentz(modes: Sequence[Mode], cfg: KdsConfig) -> Spectrum:
         raise ValueError("mode list is empty")
     if cfg.kernel != "lorentz":
         raise ValueError(f"config kernel is {cfg.kernel!r}, expected 'lorentz'")
-    mode_freqs = np.array([m.frequency_hz for m in modes])
-    amps = np.array([m.amplitude for m in modes])
-    taus = _time_constants(modes, cfg.tau_max)
+    mode_freqs, growth, amps, *_ = _mode_columns(modes)
+    taus = _time_constants(growth, cfg.tau_max)
     grid = cfg.grid or _default_lorentz_grid(mode_freqs, cfg.h, taus)
     numerator = 1.0 if cfg.lorentz_unit_numerator else math.sqrt(cfg.h)
     freqs = grid.frequencies()

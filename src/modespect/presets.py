@@ -17,6 +17,7 @@ from __future__ import annotations
 import configparser
 from importlib import resources
 
+from .config import parse_components
 from .signals import DampedComponent
 
 __all__ = [
@@ -44,18 +45,7 @@ def _load_case_3() -> tuple[DampedComponent, ...]:
         resources.files("modespect").joinpath("data/eight_component_set.ini").read_text()
     )
     parser.read_string(text)
-    components = []
-    for _, value in parser.items("components"):
-        amplitude, frequency, damping, phase = (float(v) for v in value.split())
-        components.append(
-            DampedComponent(
-                amplitude=amplitude,
-                frequency_hz=frequency,
-                damping=damping,
-                phase_rad=phase,
-            )
-        )
-    return tuple(components)
+    return tuple(parse_components(parser["components"].values()))
 
 
 _CASE_3 = _load_case_3()

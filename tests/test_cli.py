@@ -151,6 +151,21 @@ class TestDecompose:
         err = capsys.readouterr().err
         assert "bad.csv, line 42:" in err and reason in err
 
+    @pytest.mark.parametrize(
+        "header", ["# t0=0", "# dt=abc t0=0", "# dt=-1 t0=0"],
+        ids=["no-dt", "text-dt", "negative-dt"],
+    )
+    def test_bad_header_dt_exit_1(self, tmp_path, capsys, header):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(header + "\n1\n2\n3\n")
+        code = run(
+            "decompose", "--in", str(bad), "--d", "1",
+            "--out-modes", str(tmp_path / "m.csv"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "malformed input file" in err and "bad.csv, line 1:" in err
+
     def test_identical_output_paths_exit_2(self, tmp_path, case1_file):
         same = str(tmp_path / "same.csv")
         code = run(

@@ -249,6 +249,17 @@ class TestMergeDuplicates:
         np.testing.assert_array_equal(lam2, lam)
         np.testing.assert_array_equal(b2, b)
 
+    def test_chain_groups_by_leader(self):
+        # a~b and b~c within _MERGE_TOL but a!~c: leader a takes b, c stays
+        # alone; of the equal |b| members the lowest index is kept
+        lam = (0.9 + 0.1j) * (1.0 + np.array([0.0, 0.8e-9, 1.6e-9]))
+        shapes = np.ones((1, 3), dtype=complex)
+        b = np.array([1j, 1.0, 3.0])
+        lam2, shapes2, b2 = _merge_duplicates(lam, shapes, b)
+        np.testing.assert_array_equal(lam2, lam[[0, 2]])
+        np.testing.assert_allclose(b2, [1.0 + 1j, 3.0], rtol=1e-15)
+        np.testing.assert_allclose(shapes2, np.ones((1, 2)), rtol=1e-15)
+
 
 class TestHodmd:
     def test_case1_exact_recovery(self, case1_full):
@@ -327,11 +338,26 @@ class TestHodmd:
             assert abs(a - b) < 1e-3
 
     def test_reconstruct_self_consistency(self, case2_full):
+        # single-channel real, 4-channel real (dmd) and complex input
         ts = head(case2_full, 4096)
-        dec = hodmd(build_snapshots(ts), HodmdConfig(d=20, dt=ts.dt))
-        recon = reconstruct(dec, len(ts))
-        rel = np.linalg.norm(ts.samples - recon.samples) / np.linalg.norm(ts.samples)
-        assert rel == pytest.approx(dec.relative_rms, rel=1e-9, abs=1e-15)
+        multi = conjugate_pair_signal(
+            [500.0, 1300.0], [3.0, 9.0], n_channels=4, k=400, dt=DT, seed=4
+        )
+        k = np.arange(300)
+        x = (
+            0.8 * np.exp(complex(-2.0, 2 * math.pi * 50.0) * 1e-3) ** k
+            + 0.3 * np.exp(complex(-5.0, -2 * math.pi * 120.0) * 1e-3) ** k
+        )
+        cases = [
+            (build_snapshots(ts), lambda s: hodmd(s, HodmdConfig(d=20, dt=s.dt))),
+            (multi, lambda s: dmd(s, Tolerance(1e-10))),
+            (SnapshotMatrix(x[None, :], 1e-3), lambda s: hodmd(s, HodmdConfig(d=4, dt=s.dt))),
+        ]
+        for snap, decompose in cases:
+            dec = decompose(snap)
+            recon = np.atleast_2d(reconstruct(dec, snap.n_snapshots).samples)
+            rel = np.linalg.norm(snap.data - recon) / np.linalg.norm(snap.data)
+            assert rel == pytest.approx(dec.relative_rms, rel=1e-9, abs=1e-15)
 
     def test_reconstruct_single_constant_mode(self):
         mode = make_mode(1.0, [1.0], amplitude=2.5, phase=0.0)

@@ -149,6 +149,12 @@ class TestModesCsv:
         assert lines[1] == "frequency_hz,growth_rate,amplitude,phase_rad,shape0_re,shape0_im"
         assert len(lines) == 2 + len(dec.modes)
 
+    def test_header_without_dt_is_malformed(self, tmp_path):
+        path = tmp_path / "modes.csv"
+        path.write_text("# d=20 ranks=1,2,1\nfrequency_hz,growth_rate\n2000,-80\n")
+        with pytest.raises(MalformedFileError, match="modes.csv, line 1:"):
+            read_modes(path)
+
 
 class TestSpectrumCsv:
     def test_round_trip(self, tmp_path):
