@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import Tolerance, TruncationPolicy, eig, lstsq, svd_econ, truncation_rank
+from .linalg import FixedCount, OptimalHardThreshold, Tolerance, TruncationPolicy
+from .linalg import eig, lstsq, svd_econ, truncation_rank
 from .linalg import _normalize_eigenvectors
 from .signals import TimeSeries, relative_max_error, relative_rms_error
 
@@ -49,6 +51,17 @@ _ZERO_EIG_TOL = 1e-12
 _LOG_RANGE = 600.0
 # condition number of the amplitude fit above which a warning is emitted
 _COND_WARN = 1e12
+# subspace iteration for the leading singular triplets: fixed seed of the
+# Gaussian start, oversampling beyond the kept rank, relative Ritz-value
+# agreement that stops it, and its pass cap
+_SKETCH_SEED = 0
+_OVERSAMPLE = 10
+_RITZ_RTOL = 1e-8
+_MAX_PASSES = 40
+# first sketch width under Tolerance; a sketch wider than
+# min(shape) / _SKETCH_FRACTION is no cheaper than the dense SVD
+_SKETCH_START = 16
+_SKETCH_FRACTION = 4
 
 
 class SizingError(ValueError):
@@ -460,6 +473,101 @@ def _assemble(
     )
 
 
+def _gaussian_start(rows: int, cols: int) -> np.ndarray:
+    """Standard normal (rows, cols) matrix drawn from _SKETCH_SEED.
+
+    Box-Muller over the standard library's Mersenne Twister: importing
+    numpy.random instead would cost every process ~6 MB of resident memory.
+    """
+    half = (rows * cols + 1) // 2
+    bits = random.Random(_SKETCH_SEED).randbytes(16 * half)
+    u = (np.frombuffer(bits, dtype="<u8") >> np.uint64(11)).astype(float)
+    u = (u + 0.5) * 2.0**-53  # 53-bit uniforms in (0, 1]
+    radius = np.sqrt(-2.0 * np.log(u[:half]))
+    angle = 2.0 * math.pi * u[half:]
+    normals = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+    return normals[: rows * cols].reshape(rows, cols)
+
+
+def _ritz_passes(a: np.ndarray, width: int):
+    """Subspace iteration on ``width`` columns from a fixed-seed Gaussian start.
+
+    After each pass, up to _MAX_PASSES, yields the Ritz triplets (left
+    vectors, values, right vectors) of ``a`` on the current subspace.
+    """
+    q = np.linalg.qr(a @ _gaussian_start(a.shape[1], width))[0]
+    for _ in range(_MAX_PASSES):
+        # a^H q = z rz, so the Ritz triplets of q^H a come from rz^H alone
+        z, rz = np.linalg.qr((q.conj().T @ a).conj().T)
+        ub, s, vbh = np.linalg.svd(rz.conj().T)
+        yield q @ ub, s, z @ vbh.conj().T
+        q = np.linalg.qr(a @ z)[0]
+
+
+def _sketched_svd(a: np.ndarray, policy: TruncationPolicy):
+    """Rank and leading singular triplets by subspace iteration, or None.
+
+    ``OptimalHardThreshold`` takes its rank from every singular value (one
+    values-only SVD) and stops once the kept Ritz values match those values
+    to _RITZ_RTOL.  ``Tolerance`` and ``FixedCount`` take the rank from the
+    Ritz values, with the shape of the sketched matrix, and stop once two
+    passes agree to _RITZ_RTOL; a sketch whose cut-off lies outside it
+    doubles.  None leaves the decision to the dense SVD: the sketch would
+    pass min(shape) / _SKETCH_FRACTION columns, the passes did not converge,
+    or the leading singular value is zero.
+    """
+    exact = None
+    if isinstance(policy, OptimalHardThreshold):
+        exact = np.linalg.svd(a, compute_uv=False)
+        if exact[0] == 0:
+            return None
+        rank = truncation_rank(exact, policy, a.shape)
+        width = rank + _OVERSAMPLE
+    elif isinstance(policy, FixedCount):
+        width = policy.n + _OVERSAMPLE
+    else:
+        width = _SKETCH_START
+    while _SKETCH_FRACTION * width <= min(a.shape):
+        previous = None
+        for u, s, v in _ritz_passes(a, width):
+            if exact is None:
+                rank = truncation_rank(s, policy, (width, a.shape[1]))
+                if rank == width:
+                    break  # the cut-off lies outside the sketch
+            reference = previous if exact is None else exact
+            if reference is not None and s[0] > 0:
+                head = reference[:rank]
+                if np.all(np.abs(s[:rank] - head) <= _RITZ_RTOL * head):
+                    return rank, u[:, :rank], s[:rank], v[:, :rank]
+            previous = s
+        else:
+            return None
+        width *= 2
+    return None
+
+
+def _truncated_svd(a: np.ndarray, policy: TruncationPolicy):
+    """Rank under ``policy`` and the kept triplets (rank, u, s, v) of ``a``.
+
+    ``a ~= u @ diag(s) @ v^H`` over the kept triplets.  Subspace iteration
+    finds them where it can (:func:`_sketched_svd`); the dense economy SVD
+    decides otherwise, so a matrix whose rank saturates gets the dense
+    result exactly.
+    """
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains non-finite entries")
+    found = _sketched_svd(a, policy)
+    if found is not None:
+        return found
+    sv = svd_econ(a)
+    if sv.singular_values[0] == 0:
+        raise DegenerateInputError(
+            f"{a.shape[0]}x{a.shape[1]} matrix has zero leading singular value"
+        )
+    r = truncation_rank(sv.singular_values, policy, a.shape)
+    return r, sv.left_vectors[:, :r], sv.singular_values[:r], sv.right_vectors[:, :r]
+
+
 def dmd(x: SnapshotMatrix, policy: TruncationPolicy) -> Decomposition:
     """Classical dynamic mode decomposition of a snapshot matrix.
 
@@ -475,11 +583,7 @@ def dmd(x: SnapshotMatrix, policy: TruncationPolicy) -> Decomposition:
     if not np.any(data):
         raise DegenerateInputError("all-zero snapshot matrix")
     x1, x2 = data[:, :-1], data[:, 1:]
-    sv = svd_econ(x1)
-    if sv.singular_values[0] == 0:
-        raise DegenerateInputError("snapshot matrix has zero leading singular value")
-    r = truncation_rank(sv.singular_values, policy, x1.shape)
-    u = sv.left_vectors[:, :r]
+    r, u, _, _ = _truncated_svd(x1, policy)
     y1 = u.conj().T @ x1
     y2 = u.conj().T @ x2
     propagator = lstsq(y1.T, y2.T).T
@@ -500,7 +604,10 @@ def hodmd(x: SnapshotMatrix, cfg: HodmdConfig) -> Decomposition:
     Requires K > 2*d snapshots.  The spatial SVD reduction is skipped for
     one- or two-channel input; the delay-embedded matrix is reduced under
     ``cfg.temporal_policy``; mode shapes come from the first delay block of
-    the lifted eigenvectors mapped back through the spatial basis.
+    the lifted eigenvectors mapped back through the spatial basis.  Both
+    reductions compute only the singular triplets they keep (see
+    :func:`_truncated_svd`).  A delay-space rank equal to min(shape) at
+    d > 1 emits a ``RuntimeWarning``: every singular value was kept.
     """
     data = x.data
     m, k = data.shape
@@ -513,10 +620,8 @@ def hodmd(x: SnapshotMatrix, cfg: HodmdConfig) -> Decomposition:
 
     # 1. spatial reduction, skipped for one or two channels
     if m > 2:
-        sv = svd_econ(data)
-        n_spat = truncation_rank(sv.singular_values, cfg.spatial_policy, data.shape)
-        basis = sv.left_vectors[:, :n_spat]
-        reduced = sv.singular_values[:n_spat, None] * sv.right_vectors[:, :n_spat].conj().T
+        n_spat, basis, s, v = _truncated_svd(data, cfg.spatial_policy)
+        reduced = s[:, None] * v.conj().T
     else:
         n_spat = m
         basis = np.eye(m)
@@ -524,12 +629,17 @@ def hodmd(x: SnapshotMatrix, cfg: HodmdConfig) -> Decomposition:
 
     # 2. delay embedding of the reduced snapshots, then a second reduction
     enlarged = build_delay_embedding(reduced, cfg.d)
-    sv2 = svd_econ(enlarged)
-    if sv2.singular_values[0] == 0:
-        raise DegenerateInputError("delay-embedded matrix has zero leading singular value")
-    n_temp = truncation_rank(sv2.singular_values, cfg.temporal_policy, enlarged.shape)
-    ubar = sv2.left_vectors[:, :n_temp]
-    xbar = sv2.singular_values[:n_temp, None] * sv2.right_vectors[:, :n_temp].conj().T
+    n_temp, ubar, s, v = _truncated_svd(enlarged, cfg.temporal_policy)
+    xbar = s[:, None] * v.conj().T
+    if cfg.d > 1 and n_temp == min(enlarged.shape):
+        # at d = 1 the embedding is the reduced snapshot matrix: full rank anyway
+        warnings.warn(
+            f"delay-space rank saturated at {n_temp}/{min(enlarged.shape)} under "
+            f"{cfg.temporal_policy}: every singular value is kept, so noise may "
+            "be fitted as modes, or d may be too small",
+            RuntimeWarning,
+            stacklevel=2,
+        )
 
     # 3. propagator on the doubly reduced coordinates
     propagator = lstsq(xbar[:, :-1].T, xbar[:, 1:].T).T

@@ -89,14 +89,15 @@ def _write_table(path, header: str, columns, names=None) -> None:
             fh.write("".join(map(row.__mod__, chunk)))
 
 
-def _header_dt(path, meta: dict) -> float:
-    """The header's sampling interval, which must be a positive number."""
-    dt = meta.get("dt")
-    if type(dt) not in (int, float) or not 0 < dt < math.inf:
+def _header_number(path, meta: dict, key: str, positive: bool, default=None) -> float:
+    """Header value ``key`` (``default`` if absent): finite, and > 0 if ``positive``."""
+    value = meta.get(key, default)
+    low, kind = (0, "positive") if positive else (-math.inf, "finite")
+    if type(value) not in (int, float) or not low < value < math.inf:
         raise MalformedFileError(
-            f"{path}, line 1: header needs dt=<positive number>, got {dt!r}"
+            f"{path}, line 1: header needs {key}=<{kind} number>, got {value!r}"
         )
-    return float(dt)
+    return float(value)
 
 
 def _first_bad_line(path, skip: int):
@@ -159,7 +160,9 @@ def read_timeseries(path) -> TimeSeries:
     if table.shape[1] > 2:
         raise MalformedFileError(f"{path}: expected 1 (real) or 2 (complex) columns")
     samples = table[:, 0] if table.shape[1] == 1 else table.view(complex)[:, 0]
-    return TimeSeries(samples, dt=_header_dt(path, meta), t0=float(meta.get("t0", 0.0)))
+    dt = _header_number(path, meta, "dt", positive=True)
+    t0 = _header_number(path, meta, "t0", positive=False, default=0.0)
+    return TimeSeries(samples, dt=dt, t0=t0)
 
 
 def _mode_column_names(n_channels: int) -> list[str]:
@@ -187,7 +190,7 @@ def write_modes(
 def read_modes(path) -> tuple[list[Mode], dict]:
     """Mode list plus header metadata (dt, d, ranks)."""
     meta, _, table = _read_table(path, with_names=True)
-    dt = _header_dt(path, meta)
+    dt = _header_number(path, meta, "dt", positive=True)
     if isinstance(meta.get("ranks"), str):
         meta["ranks"] = tuple(int(v) for v in meta["ranks"].split(","))
     shapes = np.ascontiguousarray(table[:, 4:]).view(complex)  # re,im pairs

@@ -277,6 +277,15 @@ class TestFft:
         assert spec.meta["source"] == "welch"
         assert spec.meta["segments"] >= 8
 
+    @pytest.mark.parametrize("t0", ["abc", "nan", "inf"])
+    def test_bad_header_t0_exit_1(self, tmp_path, capsys, t0):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"# dt=1 t0={t0}\n1\n2\n3\n")
+        code = run("fft", "--in", str(bad), "--out", str(tmp_path / "s.csv"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "malformed input file" in err and "bad.csv, line 1:" in err
+
     def test_bad_segment_exit_2(self, tmp_path, case2_file):
         code = run(
             "fft", "--in", str(case2_file), "--method", "welch",

@@ -116,6 +116,13 @@ class TestTimeSeriesCsv:
         with pytest.raises(MalformedFileError, match="line 1"):
             read_timeseries(path)
 
+    @pytest.mark.parametrize("t0", ["abc", "nan", "inf"])
+    def test_non_finite_t0_is_malformed(self, tmp_path, t0):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# dt=1 t0={t0}\n1\n2\n3\n")
+        with pytest.raises(MalformedFileError, match="bad.csv, line 1: .*t0="):
+            read_timeseries(path)
+
 
 class TestModesCsv:
     @pytest.fixture()
