@@ -23,6 +23,7 @@ import numpy as np
 from .linalg import FixedCount, OptimalHardThreshold, Tolerance, TruncationPolicy
 from .linalg import eig, lstsq, svd_econ, truncation_rank
 from .linalg import _normalize_eigenvectors
+from . import linalg
 from .signals import TimeSeries, relative_max_error, relative_rms_error
 
 __all__ = [
@@ -58,10 +59,12 @@ _SKETCH_SEED = 0
 _OVERSAMPLE = 10
 _RITZ_RTOL = 1e-8
 _MAX_PASSES = 40
-# first sketch width under Tolerance; a sketch wider than
+# sketch width under Tolerance; a sketch wider than
 # min(shape) / _SKETCH_FRACTION is no cheaper than the dense SVD
-_SKETCH_START = 16
+_SKETCH_WIDTH = 16
 _SKETCH_FRACTION = 4
+# columns per block where a sketch avoids long-side temporaries
+_BLOCK = 4096
 
 
 class SizingError(ValueError):
@@ -489,13 +492,31 @@ def _gaussian_start(rows: int, cols: int) -> np.ndarray:
     return normals[: rows * cols].reshape(rows, cols)
 
 
-def _ritz_passes(a: np.ndarray, width: int):
-    """Subspace iteration on ``width`` columns from a fixed-seed Gaussian start.
+def _column_blocks(a: np.ndarray) -> list:
+    """Views of ``a`` by blocks of _BLOCK columns."""
+    return [a[:, c : c + _BLOCK] for c in range(0, a.shape[1], _BLOCK)]
+
+
+def _sketch_start(a: np.ndarray, width: int) -> np.ndarray:
+    """Orthonormal (rows, width) start: qr(a a^H g), g from _gaussian_start."""
+    g = _gaussian_start(a.shape[0], width)
+    return np.linalg.qr(sum(b @ (b.conj().T @ g) for b in _column_blocks(a)))[0]
+
+
+def _ritz_values(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Singular values of q^H a, from the R factor of a^H q built by blocks."""
+    r = np.zeros((0, q.shape[1]), dtype=np.result_type(a, q))
+    for b in _column_blocks(a):
+        r = np.linalg.qr(np.vstack([r, b.conj().T @ q]), mode="r")
+    return np.linalg.svd(r, compute_uv=False)
+
+
+def _ritz_passes(a: np.ndarray, q: np.ndarray):
+    """Subspace iteration from the orthonormal start ``q``.
 
     After each pass, up to _MAX_PASSES, yields the Ritz triplets (left
     vectors, values, right vectors) of ``a`` on the current subspace.
     """
-    q = np.linalg.qr(a @ _gaussian_start(a.shape[1], width))[0]
     for _ in range(_MAX_PASSES):
         # a^H q = z rz, so the Ritz triplets of q^H a come from rz^H alone
         z, rz = np.linalg.qr((q.conj().T @ a).conj().T)
@@ -505,44 +526,61 @@ def _ritz_passes(a: np.ndarray, width: int):
 
 
 def _sketched_svd(a: np.ndarray, policy: TruncationPolicy):
-    """Rank and leading singular triplets by subspace iteration, or None.
+    """Singular values and leading triplets by subspace iteration, or None.
 
-    ``OptimalHardThreshold`` takes its rank from every singular value (one
-    values-only SVD) and stops once the kept Ritz values match those values
-    to _RITZ_RTOL.  ``Tolerance`` and ``FixedCount`` take the rank from the
-    Ritz values, with the shape of the sketched matrix, and stop once two
-    passes agree to _RITZ_RTOL; a sketch whose cut-off lies outside it
-    doubles.  None leaves the decision to the dense SVD: the sketch would
-    pass min(shape) / _SKETCH_FRACTION columns, the passes did not converge,
-    or the leading singular value is zero.
+    Returns (values, u, s, v): ``values`` has min(shape) entries and gives
+    the same rank under ``policy`` as the full singular values; (u, s, v)
+    are the sketch's Ritz triplets, of which the kept ones have converged.
+    ``OptimalHardThreshold`` takes every singular value from one values-only
+    SVD and stops once the kept Ritz values match them to _RITZ_RTOL.
+    ``Tolerance`` and ``FixedCount`` take the rank from the Ritz values and
+    stop once two passes agree to _RITZ_RTOL; ``values`` are those Ritz
+    values padded with zeros, which lie below the cut-off like every value
+    the sketch left out.  None leaves the decision to the dense SVD: the
+    sketch would pass min(shape) / _SKETCH_FRACTION columns, its cut-off
+    lies outside it, the passes did not converge, or the leading singular
+    value is zero.  Until the first Ritz values show that the cut-off lies
+    inside the sketch, work goes by column blocks: a sketch given up there
+    leaves no freed long-side arrays resident under the dense SVD.  Trial
+    ranks use ``linalg.truncation_rank``, so that :func:`_truncated_svd`
+    decides each reduction's rank in one call.
     """
+    if _SKETCH_FRACTION * (1 + _OVERSAMPLE) > min(a.shape):
+        return None  # no room for even a rank-1 sketch
+    if not all(np.all(np.isfinite(b)) for b in _column_blocks(a)):
+        raise ValueError("matrix contains non-finite entries")
     exact = None
     if isinstance(policy, OptimalHardThreshold):
         exact = np.linalg.svd(a, compute_uv=False)
         if exact[0] == 0:
             return None
-        rank = truncation_rank(exact, policy, a.shape)
+        rank = linalg.truncation_rank(exact, policy, a.shape)
         width = rank + _OVERSAMPLE
     elif isinstance(policy, FixedCount):
         width = policy.n + _OVERSAMPLE
     else:
-        width = _SKETCH_START
-    while _SKETCH_FRACTION * width <= min(a.shape):
-        previous = None
-        for u, s, v in _ritz_passes(a, width):
-            if exact is None:
-                rank = truncation_rank(s, policy, (width, a.shape[1]))
-                if rank == width:
-                    break  # the cut-off lies outside the sketch
-            reference = previous if exact is None else exact
-            if reference is not None and s[0] > 0:
-                head = reference[:rank]
-                if np.all(np.abs(s[:rank] - head) <= _RITZ_RTOL * head):
-                    return rank, u[:, :rank], s[:rank], v[:, :rank]
-            previous = s
-        else:
-            return None
-        width *= 2
+        width = _SKETCH_WIDTH
+    if _SKETCH_FRACTION * width > min(a.shape):
+        return None
+    q = _sketch_start(a, width)
+    if exact is None:
+        first = _ritz_values(a, q)
+        if linalg.truncation_rank(first, policy, (width, width)) == width:
+            return None  # the cut-off lies outside the sketch
+    previous = None
+    for u, s, v in _ritz_passes(a, q):
+        if exact is None:
+            rank = linalg.truncation_rank(s, policy, (width, width))
+            if rank == width:
+                return None  # the cut-off lies outside the sketch
+        reference = previous if exact is None else exact
+        if reference is not None and s[0] > 0:
+            head = reference[:rank]
+            if np.all(np.abs(s[:rank] - head) <= _RITZ_RTOL * head):
+                if exact is None:
+                    exact = np.concatenate([s, np.zeros(min(a.shape) - width)])
+                return exact, u, s, v
+        previous = s
     return None
 
 
@@ -552,20 +590,21 @@ def _truncated_svd(a: np.ndarray, policy: TruncationPolicy):
     ``a ~= u @ diag(s) @ v^H`` over the kept triplets.  Subspace iteration
     finds them where it can (:func:`_sketched_svd`); the dense economy SVD
     decides otherwise, so a matrix whose rank saturates gets the dense
-    result exactly.
+    result exactly.  Either way one ``truncation_rank`` call on the
+    matrix's shape decides the rank.
     """
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
     found = _sketched_svd(a, policy)
-    if found is not None:
-        return found
-    sv = svd_econ(a)
-    if sv.singular_values[0] == 0:
-        raise DegenerateInputError(
-            f"{a.shape[0]}x{a.shape[1]} matrix has zero leading singular value"
-        )
-    r = truncation_rank(sv.singular_values, policy, a.shape)
-    return r, sv.left_vectors[:, :r], sv.singular_values[:r], sv.right_vectors[:, :r]
+    if found is None:
+        sv = svd_econ(a)
+        s = sv.singular_values
+        if s[0] == 0:
+            raise DegenerateInputError(
+                f"{a.shape[0]}x{a.shape[1]} matrix has zero leading singular value"
+            )
+        found = s, sv.left_vectors, s, sv.right_vectors
+    values, u, s, v = found
+    r = truncation_rank(values, policy, a.shape)
+    return r, u[:, :r], s[:r], v[:, :r]
 
 
 def dmd(x: SnapshotMatrix, policy: TruncationPolicy) -> Decomposition:

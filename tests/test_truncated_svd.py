@@ -7,6 +7,7 @@ the reference here.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +22,9 @@ from modespect import (
     OptimalHardThreshold,
     SnapshotMatrix,
     TimeSeries,
+    Tolerance,
     add_gaussian_noise,
+    build_delay_embedding,
     build_snapshots,
     decompose,
     dmd,
@@ -88,8 +91,7 @@ def noisy_case2_window(case2_full, seed=3):
         ("case1_full", 4096, 200, True),
         ("case2_full", 8192, 50, False),  # a 16-column sketch is too wide for 50
         ("case2_full", 8192, 200, True),
-        ("case3_signal", 2**14, 120, False),  # rank 16 needs 32 columns: too wide
-        ("case3_signal", 2**14, 200, True),
+        ("case3_signal", 2**14, 200, False),  # rank 16 fills the 16-column sketch
     ],
 )
 def test_presets_match_dense(request, sketched, case, n, d, by_sketch):
@@ -100,12 +102,69 @@ def test_presets_match_dense(request, sketched, case, n, d, by_sketch):
     assert_same_frequencies(fast, dense(hodmd, snap, cfg), 1e-9)
 
 
-def test_fixed_count_matches_dense(sketched, case2_full):
-    ts = head(case2_full, 8192)
-    cfg = HodmdConfig(d=100, dt=ts.dt, temporal_policy=FixedCount(6))
+@pytest.mark.parametrize(
+    "case, n, d, count",
+    [("case2_full", 8192, 100, 6), ("case3_signal", 2**14, 200, 16)],
+)
+def test_fixed_count_matches_dense(request, sketched, case, n, d, count):
+    ts = head(request.getfixturevalue(case), n)
+    cfg = HodmdConfig(d=d, dt=ts.dt, temporal_policy=FixedCount(count))
     fast = hodmd(build_snapshots(ts), cfg)
     assert sketched == [True]
+    assert fast.ranks[1] == count
     assert_same_frequencies(fast, dense(hodmd, build_snapshots(ts), cfg), 1e-9)
+
+
+def test_small_optimal_matrix_skips_values_pass(monkeypatch, sketched, case1_full):
+    # a 10-row delay matrix is too small for even a rank-1 sketch, so the
+    # values-only SVD would be wasted before the dense one
+    ts = head(case1_full, 4096)
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    hodmd(build_snapshots(ts), HodmdConfig(d=10, dt=ts.dt, temporal_policy=OPTIMAL))
+    assert sketched == [False]
+    assert calls == [True]
+
+
+@pytest.mark.parametrize("d, by_sketch", [(200, True), (30, False)])
+def test_one_rank_decision_per_reduction(
+    monkeypatch, sketched, case2_full, d, by_sketch
+):
+    # trial ranks on the sketch stay out of decompose.truncation_rank: each
+    # reduction decides its rank there once, on the full matrix shape
+    ts = head(case2_full, 8192)
+    shapes = []
+    rank = decompose.truncation_rank
+
+    def spy(s, policy, shape):
+        shapes.append(tuple(shape))
+        return rank(s, policy, shape)
+
+    monkeypatch.setattr(decompose, "truncation_rank", spy)
+    dec = hodmd(build_snapshots(ts), HodmdConfig(d=d, dt=ts.dt))
+    assert sketched == [by_sketch]
+    assert shapes == [(d, 8192 - d + 1)]
+    assert dec.ranks[1] == 6
+
+
+def test_abandoned_sketch_allocates_no_long_side_array(case3_signal):
+    # rank 16 fills the 16-column sketch of the 100 x 16285 delay matrix, so
+    # the dense SVD decides; the sketch before it went by column blocks
+    a = build_delay_embedding(case3_signal.samples[None, :], 100)
+    tracemalloc.start()
+    try:
+        found = decompose._sketched_svd(a, Tolerance(1e-10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found is None
+    assert peak < a.shape[1] * 16 * a.itemsize
 
 
 def test_complex_input_matches_dense(sketched):
