@@ -172,8 +172,7 @@ def _summary(dec) -> dict:
     }
 
 
-def _cmd_synth(args) -> int:
-    cfg = RunConfig.load(args.config)
+def _cmd_synth(args, cfg: RunConfig) -> int:
     preset = pick(args.preset, cfg, "synth", "preset", str, None)
     fs = pick(args.fs, cfg, "synth", "fs", float, None)
     n = pick(args.n, cfg, "synth", "n", int, None)
@@ -200,8 +199,7 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _cmd_decompose(args) -> int:
-    cfg = RunConfig.load(args.config)
+def _cmd_decompose(args, cfg: RunConfig) -> int:
     _check_distinct_outputs(args.out_modes, args.out_summary)
     ts = fileio.read_timeseries(args.infile)
     hodmd_cfg = _build_hodmd_config(args, cfg, ts.dt)
@@ -224,8 +222,7 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _cmd_spectrum(args) -> int:
-    cfg = RunConfig.load(args.config)
+def _cmd_spectrum(args, cfg: RunConfig) -> int:
     kds_cfg = _kds_config(args, cfg)
     modes, _ = fileio.read_modes(args.infile)
     spec = _run_kds(modes, kds_cfg)
@@ -233,16 +230,14 @@ def _cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _cmd_fft(args) -> int:
-    cfg = RunConfig.load(args.config)
+def _cmd_fft(args, cfg: RunConfig) -> int:
     method = _fourier_method(args, cfg)
     ts = fileio.read_timeseries(args.infile)
     fileio.write_spectrum(args.out, _fourier_spectrum(args, cfg, ts, method))
     return EXIT_OK
 
 
-def _cmd_glide(args) -> int:
-    cfg = RunConfig.load(args.config)
+def _cmd_glide(args, cfg: RunConfig) -> int:
     _check_distinct_outputs(args.out_tracks, args.out_pooled)
     if args.pool and not args.out_pooled:
         raise ConfigError("--pool requires --out-pooled")
@@ -281,8 +276,7 @@ def _nearest_peak_errors(spec, truths: list[float], rel_prominence: float):
     return errors
 
 
-def _cmd_compare(args) -> int:
-    cfg = RunConfig.load(args.config)
+def _cmd_compare(args, cfg: RunConfig) -> int:
     out_dir = Path(args.out_dir)
     truth_text = pick(args.truth, cfg, "compare", "truth", str, None)
     truths = (
@@ -374,12 +368,11 @@ def _add_kds_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_fft_flags(parser: argparse.ArgumentParser, with_method: bool = True) -> None:
-    if with_method:
-        parser.add_argument(
-            "--method", choices=("periodogram", "welch"), default=None,
-            help="PSD estimator (default periodogram)",
-        )
+def _add_fft_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--method", choices=("periodogram", "welch"), default=None,
+        help="PSD estimator (default periodogram)",
+    )
     parser.add_argument(
         "--window", choices=("rectangular", "hann"), default=None,
         help="taper window",
@@ -487,7 +480,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
-        return args.func(args)
+        return args.func(args, RunConfig.load(args.config))
     except DegenerateInputError as exc:
         print(f"error: degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -53,7 +53,7 @@ _LOG_RANGE = 600.0
 # condition number of the amplitude fit above which a warning is emitted
 _COND_WARN = 1e12
 # subspace iteration for the leading singular triplets: fixed seed of the
-# Gaussian start, oversampling beyond the kept rank, relative Ritz-value
+# random start, oversampling beyond the kept rank, relative Ritz-value
 # agreement that stops it, and its pass cap
 _SKETCH_SEED = 0
 _OVERSAMPLE = 10
@@ -218,10 +218,11 @@ def build_delay_embedding(xhat: np.ndarray, d: int) -> np.ndarray:
     if k <= d:
         raise SizingError(f"need more snapshots than delay depth: K={k}, d={d}")
     m = k - d + 1
-    out = np.empty((d * n, m), dtype=xhat.dtype)
-    for i in range(d):
-        out[i * n : (i + 1) * n, :] = xhat[:, i : i + m]
-    return out
+    # one new array: a reshape of the windows can be a read-only view of xhat
+    windows = np.lib.stride_tricks.sliding_window_view(xhat, m, axis=1)
+    out = np.empty((d, n, m), dtype=xhat.dtype)
+    out[:] = windows.transpose(1, 0, 2)
+    return out.reshape(d * n, m)
 
 
 def eigenvalue_to_rates(mu: complex, dt: float) -> tuple[float, float]:
@@ -476,30 +477,21 @@ def _assemble(
     )
 
 
-def _gaussian_start(rows: int, cols: int) -> np.ndarray:
-    """Standard normal (rows, cols) matrix drawn from _SKETCH_SEED.
-
-    Box-Muller over the standard library's Mersenne Twister: importing
-    numpy.random instead would cost every process ~6 MB of resident memory.
-    """
-    half = (rows * cols + 1) // 2
-    bits = random.Random(_SKETCH_SEED).randbytes(16 * half)
-    u = (np.frombuffer(bits, dtype="<u8") >> np.uint64(11)).astype(float)
-    u = (u + 0.5) * 2.0**-53  # 53-bit uniforms in (0, 1]
-    radius = np.sqrt(-2.0 * np.log(u[:half]))
-    angle = 2.0 * math.pi * u[half:]
-    normals = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
-    return normals[: rows * cols].reshape(rows, cols)
-
-
 def _column_blocks(a: np.ndarray) -> list:
     """Views of ``a`` by blocks of _BLOCK columns."""
     return [a[:, c : c + _BLOCK] for c in range(0, a.shape[1], _BLOCK)]
 
 
 def _sketch_start(a: np.ndarray, width: int) -> np.ndarray:
-    """Orthonormal (rows, width) start: qr(a a^H g), g from _gaussian_start."""
-    g = _gaussian_start(a.shape[0], width)
+    """Orthonormal (rows, width) start: qr(a a^H g), g of fixed-seed signed bytes.
+
+    The range finder needs no Gaussian g; its stopping test decides accuracy.
+    The standard library draws the bytes because importing numpy.random would
+    cost every process ~6 MB of resident memory.
+    """
+    rows = a.shape[0]
+    bits = random.Random(_SKETCH_SEED).randbytes(rows * width)
+    g = np.frombuffer(bits, dtype=np.int8).reshape(rows, width).astype(float)
     return np.linalg.qr(sum(b @ (b.conj().T @ g) for b in _column_blocks(a)))[0]
 
 

@@ -205,20 +205,11 @@ def kds_lorentz(modes: Sequence[Mode], cfg: KdsConfig) -> Spectrum:
 
 def _local_maxima(values: np.ndarray) -> list[tuple[int, int]]:
     """Strictly interior local maxima as (left, right) plateau runs."""
-    n = values.size
-    runs = []
-    i = 1
-    while i < n - 1:
-        if values[i] > values[i - 1]:
-            j = i
-            while j + 1 < n and values[j + 1] == values[i]:
-                j += 1
-            if j < n - 1 and values[j + 1] < values[i]:
-                runs.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    return runs
+    starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+    ends = np.r_[starts[1:], values.size] - 1
+    level = values[starts]
+    peak = (level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])
+    return list(zip(starts[1:-1][peak].tolist(), ends[1:-1][peak].tolist()))
 
 
 def _prominences(values: np.ndarray, runs: list[tuple[int, int]]) -> np.ndarray:

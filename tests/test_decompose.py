@@ -116,6 +116,17 @@ class TestDelayEmbedding:
         with pytest.raises(SizingError):
             build_delay_embedding(np.ones((1, 4)), 4)
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_one_channel_result_is_a_writable_copy(self, d):
+        # for one channel, or d = 1, a reshape of the sliding windows is a
+        # read-only view of x
+        x = np.arange(8.0)[None, :]
+        out = build_delay_embedding(x, d)
+        assert out.flags.writeable and out.flags.c_contiguous
+        assert not np.shares_memory(out, x)
+        out[0, 0] = -1.0
+        assert x[0, 0] == 0.0
+
 
 class TestEigenvalueToRates:
     def test_unit_eigenvalue(self):
@@ -451,6 +462,18 @@ class TestHodmdConfig:
         comps = preset_components("paper-case-2")
         params = [(c.frequency_hz, c.damping) for c in comps]
         assert params == [(2008.0, 50.0), (1992.0, 80.0), (1800.0, 100.0)]
+
+    def test_case3_redraws_from_seeded_generator(self):
+        # provenance of the frozen eight-mode set: sorted uniform frequencies
+        # on [300, 11000) Hz, then uniform dampings on [20, 150) 1/s
+        rng = np.random.default_rng(1)
+        freqs = np.sort(rng.uniform(300.0, 11_000.0, 8))
+        damps = rng.uniform(20.0, 150.0, 8)
+        expected = [
+            DampedComponent(amplitude=1.0, frequency_hz=float(f), damping=float(d))
+            for f, d in zip(freqs, damps)
+        ]
+        assert list(preset_components("paper-case-3")) == expected
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError):

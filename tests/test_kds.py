@@ -15,6 +15,7 @@ from modespect import (
     kds_gaussian,
     kds_lorentz,
 )
+from modespect.kds import _local_maxima
 
 DT = 4e-5
 
@@ -275,3 +276,21 @@ class TestFindPeaks:
         spec = Spectrum(np.arange(3.0), np.ones(3), {})
         with pytest.raises(ValueError):
             find_peaks(spec, -0.1)
+
+
+def plateau_peaks_brute_force(v):
+    """Every (l, r) with one value on v[l..r], strictly lower at l-1 and r+1."""
+    n = len(v)
+    return [
+        (l, r)
+        for l in range(1, n - 1)
+        for r in range(l, n - 1)
+        if len(set(v[l : r + 1])) == 1 and v[l - 1] < v[l] and v[r + 1] < v[l]
+    ]
+
+
+@given(st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=24))
+@settings(max_examples=300, deadline=None)
+def test_local_maxima_matches_plateau_definition(ints):
+    v = np.array(ints, dtype=float)
+    assert _local_maxima(v) == plateau_peaks_brute_force(ints)
