@@ -22,7 +22,7 @@ import numpy as np
 
 from .linalg import FixedCount, OptimalHardThreshold, Tolerance, TruncationPolicy
 from .linalg import eig, lstsq, svd_econ, truncation_rank
-from .linalg import _normalize_eigenvectors
+from .linalg import _hard_threshold, _normalize_eigenvectors
 from . import linalg
 from .signals import TimeSeries, relative_max_error, relative_rms_error
 
@@ -65,6 +65,8 @@ _SKETCH_WIDTH = 16
 _SKETCH_FRACTION = 4
 # columns per block where a sketch avoids long-side temporaries
 _BLOCK = 4096
+# rows per block of the short-side Gram matrix
+_GRAM_BLOCK = 128
 
 
 class SizingError(ValueError):
@@ -170,6 +172,8 @@ class Decomposition:
 
     ``ranks`` records (spatial SVD rank, delay-space SVD rank, reported mode
     count).  ``real_input`` marks whether conjugate-pair reporting applies.
+    ``amplitude_condition`` is the condition estimate of the amplitude fit
+    (inf if its design matrix is singular); above 1e12 the fit also warns.
     """
 
     modes: tuple[Mode, ...]
@@ -178,6 +182,7 @@ class Decomposition:
     config: HodmdConfig
     ranks: tuple[int, int, int]
     real_input: bool = True
+    amplitude_condition: float = math.nan
 
 
 def build_snapshots(ts: TimeSeries, stacking: int = 1) -> SnapshotMatrix:
@@ -243,12 +248,15 @@ def eigenvalue_to_rates(mu: complex, dt: float) -> tuple[float, float]:
     return delta, angle / dt
 
 
-def _fit_b(shapes: np.ndarray, lam: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Least-squares complex amplitudes over all snapshots.
+def _fit_b(
+    shapes: np.ndarray, lam: np.ndarray, data: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Least-squares complex amplitudes over all snapshots, and the fit's condition.
 
-    Minimizes sum_k || x_k - sum_m shape_m * lam_m**k * b_m ||^2.  An
-    ill-conditioned system is reported with its condition estimate and solved
-    in the minimum-norm sense.
+    Minimizes sum_k || x_k - sum_m shape_m * lam_m**k * b_m ||^2.  The
+    condition estimate is the ratio of the design matrix's extreme singular
+    values.  An ill-conditioned system also warns with it and is solved in
+    the minimum-norm sense.
     """
     m, k = data.shape
     n = lam.size
@@ -256,17 +264,16 @@ def _fit_b(shapes: np.ndarray, lam: np.ndarray, data: np.ndarray) -> np.ndarray:
     g = (powers[:, None, :] * shapes[None, :, :]).reshape(k * m, n)
     rhs = data.T.reshape(-1).astype(g.dtype)
     sol, _, rank, svals = np.linalg.lstsq(g, rhs, rcond=None)
-    if svals.size:
-        smin = svals[-1]
-        cond = math.inf if smin == 0 else float(svals[0] / smin)
-        if rank < n or cond > _COND_WARN:
-            warnings.warn(
-                f"amplitude fit is ill-conditioned (cond ~ {cond:.3e}, rank "
-                f"{rank}/{n}); minimum-norm solution used",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-    return sol
+    smin = svals[-1]
+    cond = math.inf if smin == 0 else float(svals[0] / smin)
+    if rank < n or cond > _COND_WARN:
+        warnings.warn(
+            f"amplitude fit is ill-conditioned (cond ~ {cond:.3e}, rank "
+            f"{rank}/{n}); minimum-norm solution used",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return sol, cond
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
@@ -295,7 +302,7 @@ def fit_amplitudes(modes: Sequence[Mode], x: SnapshotMatrix) -> np.ndarray:
         raise ValueError(
             f"shape length {shapes.shape[0]} does not match {x.n_channels} channels"
         )
-    return _fit_b(shapes, lam, x.data)
+    return _fit_b(shapes, lam, x.data)[0]
 
 
 def _merge_duplicates(
@@ -453,7 +460,7 @@ def _assemble(
     if lam.size == 0:
         raise DegenerateInputError("no usable mode shapes")
 
-    b = _fit_b(shapes, lam, x.data)
+    b, cond = _fit_b(shapes, lam, x.data)
     lam, shapes, b = _merge_duplicates(lam, shapes, b)
     if cfg.amplitude_policy is not None:
         lam, shapes, b = _amplitude_truncate(
@@ -474,6 +481,7 @@ def _assemble(
         config=cfg,
         ranks=(ranks[0], ranks[1], len(modes)),
         real_input=real_input,
+        amplitude_condition=cond,
     )
 
 
@@ -517,50 +525,108 @@ def _ritz_passes(a: np.ndarray, q: np.ndarray):
         q = np.linalg.qr(a @ z)[0]
 
 
-def _sketched_svd(a: np.ndarray, policy: TruncationPolicy):
+def _short_side_gram(a: np.ndarray) -> np.ndarray:
+    """Lower triangle of conj(b) @ b.T, b = a or a.T, whichever has fewer rows.
+
+    That is the conjugate of ``a a^H`` or ``a^H a``, so it has their
+    eigenvalues.  It is formed by _GRAM_BLOCK-row blocks written in place;
+    the strict upper triangle stays zero.
+    """
+    b = a if a.shape[0] <= a.shape[1] else a.T
+    n = b.shape[0]
+    g = np.zeros((n, n), dtype=np.result_type(a.dtype, np.float32))
+    for i in range(0, n, _GRAM_BLOCK):
+        j = min(i + _GRAM_BLOCK, n)
+        np.matmul(b[i:j].conj(), b[:j].T, out=g[i:j, :j])
+    return g
+
+
+def _gram_values(g: np.ndarray, shape: tuple[int, int]) -> Optional[np.ndarray]:
+    """Singular values sqrt(eigvalsh(g)) of a matrix of ``shape``, if certified.
+
+    ``g`` is its short-side Gram (lower triangle).  Each eigenvalue lam gets
+    the error bar delta = (rows + cols) * eps * trace(g), so each singular
+    value lies in [sqrt(max(lam - delta, 0)), sqrt(lam + delta)] and the
+    hard threshold between omega * median of the lower and of the upper
+    ends.  The values are returned only if the lower ends above the upper
+    threshold are as many as the upper ends above the lower threshold: then
+    they give the SVD's optimal-hard-threshold rank.
+    """
+    delta = sum(shape) * np.finfo(g.dtype).eps * float(np.trace(g).real)
+    lam = np.linalg.eigvalsh(g, UPLO="L")[::-1]
+    lo = np.sqrt(np.maximum(lam - delta, 0.0))
+    hi = np.sqrt(np.maximum(lam + delta, 0.0))
+    rank = np.count_nonzero(lo > _hard_threshold(hi, shape))
+    if rank != np.count_nonzero(hi > _hard_threshold(lo, shape)):
+        return None
+    return np.sqrt(np.maximum(lam, 0.0))
+
+
+def _sketched_svd(a, policy: TruncationPolicy):
     """Singular values and leading triplets by subspace iteration, or None.
 
-    Returns (values, u, s, v): ``values`` has min(shape) entries and gives
-    the same rank under ``policy`` as the full singular values; (u, s, v)
-    are the sketch's Ritz triplets, of which the kept ones have converged.
-    ``OptimalHardThreshold`` takes every singular value from one values-only
-    SVD and stops once the kept Ritz values match them to _RITZ_RTOL.
-    ``Tolerance`` and ``FixedCount`` take the rank from the Ritz values and
+    ``a`` is the matrix, or a function that builds it.  Returns (values, u,
+    s, v): ``values`` has min(shape) entries and gives the same rank under
+    ``policy`` as the full singular values; (u, s, v) are the sketch's Ritz
+    triplets, of which the kept ones have converged.
+
+    ``OptimalHardThreshold`` takes every singular value as the square root
+    of an eigenvalue of the short-side Gram matrix (:func:`_gram_values`).
+    Their error bars must prove the SVD's rank, else one values-only SVD
+    gives them, as it does for a clean record whose noise floor lies below
+    sqrt(eps) * sigma_1.  The iteration stops once the kept Ritz values
+    match them to _RITZ_RTOL.  Given a builder, the matrix is dropped while
+    ``eigvalsh`` runs and built again after it, so it is never resident
+    next to the Gram and LAPACK's copy of it.
+
+    ``Tolerance`` and ``FixedCount`` keep the sketch: squaring the values
+    would put a cut-off of 1e-10 * sigma_1 at 1e-20 * sigma_1**2, below the
+    Gram's rounding error.  They take the rank from the Ritz values and
     stop once two passes agree to _RITZ_RTOL; ``values`` are those Ritz
     values padded with zeros, which lie below the cut-off like every value
-    the sketch left out.  None leaves the decision to the dense SVD: the
-    sketch would pass min(shape) / _SKETCH_FRACTION columns, its cut-off
-    lies outside it, the passes did not converge, or the leading singular
-    value is zero.  Until the first Ritz values show that the cut-off lies
-    inside the sketch, work goes by column blocks: a sketch given up there
-    leaves no freed long-side arrays resident under the dense SVD.  Trial
-    ranks use ``linalg.truncation_rank``, so that :func:`_truncated_svd`
-    decides each reduction's rank in one call.
+    the sketch left out.
+
+    None leaves the decision to the dense SVD: the sketch would pass
+    min(shape) / _SKETCH_FRACTION columns, its cut-off lies outside it, the
+    passes did not converge, or the leading singular value is zero.  Until
+    the first Ritz values show that the cut-off lies inside the sketch,
+    work goes by column blocks: a sketch given up there leaves no freed
+    long-side arrays resident under the dense SVD.  Trial ranks use
+    ``linalg.truncation_rank``, so that :func:`_truncated_svd` decides each
+    reduction's rank in one call.
     """
-    if _SKETCH_FRACTION * (1 + _OVERSAMPLE) > min(a.shape):
+    build = a if callable(a) else lambda: a
+    m = build()
+    if _SKETCH_FRACTION * (1 + _OVERSAMPLE) > min(m.shape):
         return None  # no room for even a rank-1 sketch
-    if not all(np.all(np.isfinite(b)) for b in _column_blocks(a)):
+    if not all(np.all(np.isfinite(b)) for b in _column_blocks(m)):
         raise ValueError("matrix contains non-finite entries")
     exact = None
     if isinstance(policy, OptimalHardThreshold):
-        exact = np.linalg.svd(a, compute_uv=False)
+        shape, g = m.shape, _short_side_gram(m)
+        del m
+        exact = _gram_values(g, shape)
+        del g
+        m = build()
+        if exact is None:
+            exact = np.linalg.svd(m, compute_uv=False)
         if exact[0] == 0:
             return None
-        rank = linalg.truncation_rank(exact, policy, a.shape)
+        rank = linalg.truncation_rank(exact, policy, shape)
         width = rank + _OVERSAMPLE
     elif isinstance(policy, FixedCount):
         width = policy.n + _OVERSAMPLE
     else:
         width = _SKETCH_WIDTH
-    if _SKETCH_FRACTION * width > min(a.shape):
+    if _SKETCH_FRACTION * width > min(m.shape):
         return None
-    q = _sketch_start(a, width)
+    q = _sketch_start(m, width)
     if exact is None:
-        first = _ritz_values(a, q)
+        first = _ritz_values(m, q)
         if linalg.truncation_rank(first, policy, (width, width)) == width:
             return None  # the cut-off lies outside the sketch
     previous = None
-    for u, s, v in _ritz_passes(a, q):
+    for u, s, v in _ritz_passes(m, q):
         if exact is None:
             rank = linalg.truncation_rank(s, policy, (width, width))
             if rank == width:
@@ -570,32 +636,34 @@ def _sketched_svd(a: np.ndarray, policy: TruncationPolicy):
             head = reference[:rank]
             if np.all(np.abs(s[:rank] - head) <= _RITZ_RTOL * head):
                 if exact is None:
-                    exact = np.concatenate([s, np.zeros(min(a.shape) - width)])
+                    exact = np.concatenate([s, np.zeros(min(m.shape) - width)])
                 return exact, u, s, v
         previous = s
     return None
 
 
-def _truncated_svd(a: np.ndarray, policy: TruncationPolicy):
+def _truncated_svd(a, policy: TruncationPolicy):
     """Rank under ``policy`` and the kept triplets (rank, u, s, v) of ``a``.
 
-    ``a ~= u @ diag(s) @ v^H`` over the kept triplets.  Subspace iteration
-    finds them where it can (:func:`_sketched_svd`); the dense economy SVD
-    decides otherwise, so a matrix whose rank saturates gets the dense
-    result exactly.  Either way one ``truncation_rank`` call on the
-    matrix's shape decides the rank.
+    ``a`` is the matrix, or a function that builds it (see
+    :func:`_sketched_svd`).  ``a ~= u @ diag(s) @ v^H`` over the kept
+    triplets.  Subspace iteration finds them where it can; the dense
+    economy SVD decides otherwise, so a matrix whose rank saturates gets
+    the dense result exactly.  Either way one ``truncation_rank`` call on
+    the matrix's shape decides the rank.
     """
     found = _sketched_svd(a, policy)
     if found is None:
-        sv = svd_econ(a)
+        m = a() if callable(a) else a
+        sv = svd_econ(m)
         s = sv.singular_values
         if s[0] == 0:
             raise DegenerateInputError(
-                f"{a.shape[0]}x{a.shape[1]} matrix has zero leading singular value"
+                f"{m.shape[0]}x{m.shape[1]} matrix has zero leading singular value"
             )
         found = s, sv.left_vectors, s, sv.right_vectors
     values, u, s, v = found
-    r = truncation_rank(values, policy, a.shape)
+    r = truncation_rank(values, policy, (u.shape[0], v.shape[0]))
     return r, u[:, :r], s[:r], v[:, :r]
 
 
@@ -637,7 +705,13 @@ def hodmd(x: SnapshotMatrix, cfg: HodmdConfig) -> Decomposition:
     ``cfg.temporal_policy``; mode shapes come from the first delay block of
     the lifted eigenvectors mapped back through the spatial basis.  Both
     reductions compute only the singular triplets they keep (see
-    :func:`_truncated_svd`).  A delay-space rank equal to min(shape) at
+    :func:`_truncated_svd`).  Under ``OptimalHardThreshold`` the threshold's
+    singular values come from the eigenvalues of the short-side Gram matrix
+    where their error bars prove the rank, else from a values-only SVD;
+    ``Tolerance`` and ``FixedCount`` keep the sketch, since a squared cut-off
+    of 1e-10 lies below the Gram's rounding error (see :func:`_sketched_svd`).
+    The embedding is dropped while the Gram's eigenvalues are computed and
+    built again afterwards.  A delay-space rank equal to min(shape) at
     d > 1 emits a ``RuntimeWarning``: every singular value was kept.
     """
     data = x.data
@@ -658,14 +732,17 @@ def hodmd(x: SnapshotMatrix, cfg: HodmdConfig) -> Decomposition:
         basis = np.eye(m)
         reduced = data
 
-    # 2. delay embedding of the reduced snapshots, then a second reduction
-    enlarged = build_delay_embedding(reduced, cfg.d)
-    n_temp, ubar, s, v = _truncated_svd(enlarged, cfg.temporal_policy)
+    # 2. delay embedding of the reduced snapshots, then a second reduction,
+    # which may drop the embedding and build it again to save memory
+    n_temp, ubar, s, v = _truncated_svd(
+        lambda: build_delay_embedding(reduced, cfg.d), cfg.temporal_policy
+    )
     xbar = s[:, None] * v.conj().T
-    if cfg.d > 1 and n_temp == min(enlarged.shape):
+    full = min(ubar.shape[0], v.shape[0])
+    if cfg.d > 1 and n_temp == full:
         # at d = 1 the embedding is the reduced snapshot matrix: full rank anyway
         warnings.warn(
-            f"delay-space rank saturated at {n_temp}/{min(enlarged.shape)} under "
+            f"delay-space rank saturated at {n_temp}/{full} under "
             f"{cfg.temporal_policy}: every singular value is kept, so noise may "
             "be fitted as modes, or d may be too small",
             RuntimeWarning,

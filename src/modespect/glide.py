@@ -47,13 +47,18 @@ class GlideConfig:
 
 @dataclass(frozen=True, eq=False)
 class ModeTrack:
-    """Decomposition result of one window: position, modes, error metrics."""
+    """Decomposition result of one window: position, modes, error metrics.
+
+    ``amplitude_condition`` is the window's ``Decomposition.amplitude_condition``,
+    NaN on a failed window.
+    """
 
     window_start_index: int
     window_start_time: float
     modes: tuple[Mode, ...]
     errors: tuple[float, float]  # (relative rms, relative max)
     failed: bool = False
+    amplitude_condition: float = math.nan
 
 
 def _decompose_window(
@@ -64,7 +69,13 @@ def _decompose_window(
         try:
             dec = hodmd(SnapshotMatrix(np.atleast_2d(data), dt), cfg)
             errors = (dec.relative_rms, dec.relative_max)
-            return ModeTrack(start, start_time, dec.modes, errors)
+            return ModeTrack(
+                start,
+                start_time,
+                dec.modes,
+                errors,
+                amplitude_condition=dec.amplitude_condition,
+            )
         except (DegenerateInputError, np.linalg.LinAlgError):
             pass
     return ModeTrack(start, start_time, (), (math.nan, math.nan), failed=True)

@@ -29,6 +29,8 @@ Weighting = Literal["density", "power", "time_constant"]
 
 _KERNELS = ("gaussian", "lorentz")
 _WEIGHTINGS = ("density", "power", "time_constant")
+# half-width, in bandwidths h, outside which the Gaussian kernel is not evaluated
+_GAUSS_SUPPORT = 40.0
 
 
 @dataclass(frozen=True)
@@ -167,9 +169,17 @@ def kds_gaussian(modes: Sequence[Mode], cfg: KdsConfig) -> Spectrum:
     weights = _weights(amps, growth, cfg)
     freqs = grid.frequencies()
     values = np.zeros_like(freqs)
-    for fk, wk in zip(mode_freqs, weights):  # fixed summation order: mode index
-        z = (freqs - fk) / cfg.h
-        values += wk * np.exp(-0.5 * z * z)
+    # beyond 38.6 h the kernel is exactly 0.0 in float64, so each mode adds
+    # only on its support; a non-finite frequency or weight still meets the
+    # whole grid, and the summation order stays the mode index
+    reach = _GAUSS_SUPPORT * cfg.h
+    starts = np.searchsorted(freqs, mode_freqs - reach, side="left")
+    stops = np.searchsorted(freqs, mode_freqs + reach, side="right")
+    whole = ~(np.isfinite(mode_freqs) & np.isfinite(weights))
+    starts[whole], stops[whole] = 0, freqs.size
+    for fk, wk, i, j in zip(mode_freqs, weights, starts, stops):
+        z = (freqs[i:j] - fk) / cfg.h
+        values[i:j] += wk * np.exp(-0.5 * z * z)
     values /= len(modes)
     return Spectrum(freqs, values, _meta(cfg, grid, len(modes)))
 

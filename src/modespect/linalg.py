@@ -89,6 +89,13 @@ def hard_threshold_coefficient(beta: float) -> float:
     return 0.56 * beta**3 - 0.95 * beta**2 + 1.82 * beta + 1.43
 
 
+def _hard_threshold(s: np.ndarray, matrix_shape: tuple[int, int]) -> float:
+    """omega(beta) * median(sigma), the cut of ``OptimalHardThreshold``."""
+    rows, cols = matrix_shape
+    beta = min(rows, cols) / max(rows, cols)
+    return hard_threshold_coefficient(beta) * float(np.median(s))
+
+
 def truncation_rank(
     singular_values: np.ndarray,
     policy: TruncationPolicy,
@@ -118,9 +125,7 @@ def truncation_rank(
     elif isinstance(policy, FixedCount):
         rank = min(policy.n, s.size)
     elif isinstance(policy, OptimalHardThreshold):
-        beta = min(rows, cols) / max(rows, cols)
-        tau = hard_threshold_coefficient(beta) * float(np.median(s))
-        rank = int(np.count_nonzero(s > tau))
+        rank = int(np.count_nonzero(s > _hard_threshold(s, matrix_shape)))
     else:
         raise TypeError(f"unknown truncation policy: {policy!r}")
     return max(rank, 1)

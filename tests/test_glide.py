@@ -7,6 +7,7 @@ from modespect import (
     DampedComponent,
     GlideConfig,
     HodmdConfig,
+    OptimalHardThreshold,
     SizingError,
     TimeSeries,
     batch_hodmd,
@@ -14,6 +15,7 @@ from modespect import (
     gliding_hodmd,
     hodmd,
     pool_modes,
+    preset_components,
     synth_decaying_sum,
 )
 from modespect import glide as glide_module
@@ -185,6 +187,25 @@ class TestBatchHodmd:
         tracks = batch_hodmd([good, dead, good], small_cfg())
         assert [t.failed for t in tracks] == [False, True, False]
         assert len(tracks[0].modes) == len(tracks[2].modes) > 0
+
+    def test_amplitude_condition_on_each_track(self):
+        # a clean paper-case-2 window under the optimal threshold keeps
+        # rounding-noise modes, and its amplitude fit warns
+        case2 = synth_decaying_sum(
+            preset_components("paper-case-2"), fs=FS, n=28224 + 1024
+        )
+        ill = TimeSeries(case2.samples[28224:], DT)
+        dead = TimeSeries(np.zeros(1024), DT)
+        optimal = OptimalHardThreshold()
+        cfg = HodmdConfig(d=500, dt=DT, spatial_policy=optimal, temporal_policy=optimal)
+        with pytest.warns(RuntimeWarning, match="ill-conditioned") as record:
+            dec = hodmd(build_snapshots(ill), cfg)
+        assert dec.amplitude_condition > 1e12
+        assert f"cond ~ {dec.amplitude_condition:.3e}" in str(record[0].message)
+        with pytest.warns(RuntimeWarning, match="ill-conditioned"):
+            tracks = batch_hodmd([ill, dead], cfg)
+        assert tracks[0].amplitude_condition == dec.amplitude_condition
+        assert tracks[1].failed and math.isnan(tracks[1].amplitude_condition)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):

@@ -165,6 +165,56 @@ class TestGaussianKds:
             assert abs(fc - ff) <= coarse_step
 
 
+def full_grid_gaussian(modes, cfg):
+    """Reference: every mode's kernel summed over the whole grid, in mode order."""
+    freqs = cfg.grid.frequencies()
+    values = np.zeros_like(freqs)
+    for m in modes:
+        if cfg.weighting == "power":
+            w = m.amplitude**2
+        elif cfg.weighting == "time_constant":
+            w = min(1.0 / abs(m.growth_rate), cfg.tau_max)
+        else:
+            w = 1.0
+        z = (freqs - m.frequency_hz) / cfg.h
+        values += w * np.exp(-0.5 * z * z)
+    return values / len(modes)
+
+
+class TestGaussianSupport:
+    # each mode is evaluated within 40 h only; the kernel is exactly 0.0
+    # beyond 38.6 h, so the sum equals the full-grid one bit for bit
+
+    @pytest.mark.parametrize("weighting", ["density", "power", "time_constant"])
+    @pytest.mark.parametrize(
+        "freqs, h, grid",
+        [
+            ([100.0, 100.3, 140.0, 260.05], 0.5, FrequencyGrid(50.0, 300.0, 0.1)),
+            ([20.0, 49.0, 301.0, 310.0, 350.0], 0.5, FrequencyGrid(50.0, 300.0, 0.1)),
+            ([-5e3, 60.0, 1e4], 400.0, FrequencyGrid(50.0, 300.0, 0.5)),
+            ([55.0, 55.0, 299.99], 7.0, FrequencyGrid(50.0, 300.0, 0.25)),
+        ],
+        ids=["on-grid", "off-grid", "h-wider-than-grid", "at-edges"],
+    )
+    def test_matches_full_grid(self, weighting, freqs, h, grid):
+        amps = np.linspace(0.2, 3.0, len(freqs))
+        dampings = np.linspace(0.5, 90.0, len(freqs))
+        modes = [mode(f, d, a) for f, d, a in zip(freqs, dampings, amps)]
+        cfg = KdsConfig(
+            kernel="gaussian", h=h, weighting=weighting, grid=grid, tau_max=0.3
+        )
+        values = kds_gaussian(modes, cfg).values
+        assert np.array_equal(values, full_grid_gaussian(modes, cfg))
+
+    def test_non_finite_weight_still_rejected(self):
+        # a NaN amplitude far off the grid still poisons the spectrum
+        modes = [mode(100.0), mode(1e4, amplitude=math.nan)]
+        grid = FrequencyGrid(50.0, 300.0, 0.1)
+        cfg = KdsConfig(kernel="gaussian", h=0.5, weighting="power", grid=grid)
+        with pytest.raises(ValueError, match="finite"):
+            kds_gaussian(modes, cfg)
+
+
 class TestLorentzKds:
     def test_unit_numerator_peak_value(self):
         f0, damping = 500.0, 25.0  # tau = 0.04
