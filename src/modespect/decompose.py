@@ -52,6 +52,8 @@ _ZERO_EIG_TOL = 1e-12
 _LOG_RANGE = 600.0
 # condition number of the amplitude fit above which a warning is emitted
 _COND_WARN = 1e12
+# integer powers below which numpy's complex power multiplies (see _power_table)
+_CPOW_BINARY = 100
 # subspace iteration for the leading singular triplets: fixed seed of the
 # random start, oversampling beyond the kept rank, relative Ritz-value
 # agreement that stops it, and its pass cap
@@ -174,6 +176,8 @@ class Decomposition:
     count).  ``real_input`` marks whether conjugate-pair reporting applies.
     ``amplitude_condition`` is the condition estimate of the amplitude fit
     (inf if its design matrix is singular); above 1e12 the fit also warns.
+    ``amplitude_rank`` is the rank of that fit's design matrix, which has one
+    column per eigenvalue that reached the fit.
     """
 
     modes: tuple[Mode, ...]
@@ -183,6 +187,7 @@ class Decomposition:
     ranks: tuple[int, int, int]
     real_input: bool = True
     amplitude_condition: float = math.nan
+    amplitude_rank: int = 0
 
 
 def build_snapshots(ts: TimeSeries, stacking: int = 1) -> SnapshotMatrix:
@@ -248,19 +253,43 @@ def eigenvalue_to_rates(mu: complex, dt: float) -> tuple[float, float]:
     return delta, angle / dt
 
 
+def _power_table(lam: np.ndarray, k: int) -> np.ndarray:
+    """lam_m**j for j = 0 .. k-1 as a (modes, k) array.
+
+    Equal bit for bit, signed zeros included, to ``lam[:, None] **
+    np.arange(k)``, but powers from _CPOW_BINARY up cost one complex log per
+    mode and one exp per element instead of a libm cpow per element.
+    """
+    if not np.iscomplexobj(lam):
+        return lam[:, None] ** np.arange(k)
+    # numpy's npy_cpow takes an integer power |k| < 100 by binary powering
+    # and hands larger ones to the C library's cpow, which glibc defines as
+    # cexp(k * clog(lam)); the table repeats both rules
+    table = np.empty((lam.size, k), dtype=complex)
+    head = min(k, _CPOW_BINARY)
+    np.power(lam[:, None], np.arange(head), out=table[:, :head])
+    tail = table[:, head:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.multiply(np.log(lam)[:, None], np.arange(head, k, dtype=complex), out=tail)
+        np.exp(tail, out=tail)
+    tail[lam == 0] = 0.0  # npy_cpow gives +0 for a zero base; cexp gives -0
+    return table
+
+
 def _fit_b(
     shapes: np.ndarray, lam: np.ndarray, data: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Least-squares complex amplitudes over all snapshots, and the fit's condition.
+) -> tuple[np.ndarray, float, int]:
+    """Least-squares complex amplitudes over all snapshots, the fit's condition
+    and its rank.
 
     Minimizes sum_k || x_k - sum_m shape_m * lam_m**k * b_m ||^2.  The
     condition estimate is the ratio of the design matrix's extreme singular
-    values.  An ill-conditioned system also warns with it and is solved in
-    the minimum-norm sense.
+    values, and the rank is the one ``lstsq`` found.  An ill-conditioned
+    system also warns with both and is solved in the minimum-norm sense.
     """
     m, k = data.shape
     n = lam.size
-    powers = lam[None, :] ** np.arange(k)[:, None]  # (k, n)
+    powers = _power_table(lam, k).T  # (k, n)
     g = (powers[:, None, :] * shapes[None, :, :]).reshape(k * m, n)
     rhs = data.T.reshape(-1).astype(g.dtype)
     sol, _, rank, svals = np.linalg.lstsq(g, rhs, rcond=None)
@@ -273,7 +302,7 @@ def _fit_b(
             RuntimeWarning,
             stacklevel=3,
         )
-    return sol, cond
+    return sol, cond, int(rank)
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
@@ -415,7 +444,7 @@ def _mode_signal(
     shapes: np.ndarray, lam: np.ndarray, b: np.ndarray, n_samples: int
 ) -> np.ndarray:
     """sum_m shape_m * lam_m**k * b_m for k = 0 .. n_samples-1; (channels, n)."""
-    powers = lam[:, None] ** np.arange(n_samples)  # (modes, n)
+    powers = _power_table(lam, n_samples)
     powers *= b[:, None]
     return shapes @ powers
 
@@ -460,7 +489,7 @@ def _assemble(
     if lam.size == 0:
         raise DegenerateInputError("no usable mode shapes")
 
-    b, cond = _fit_b(shapes, lam, x.data)
+    b, cond, rank = _fit_b(shapes, lam, x.data)
     lam, shapes, b = _merge_duplicates(lam, shapes, b)
     if cfg.amplitude_policy is not None:
         lam, shapes, b = _amplitude_truncate(
@@ -482,6 +511,7 @@ def _assemble(
         ranks=(ranks[0], ranks[1], len(modes)),
         real_input=real_input,
         amplitude_condition=cond,
+        amplitude_rank=rank,
     )
 
 

@@ -49,8 +49,8 @@ class GlideConfig:
 class ModeTrack:
     """Decomposition result of one window: position, modes, error metrics.
 
-    ``amplitude_condition`` is the window's ``Decomposition.amplitude_condition``,
-    NaN on a failed window.
+    ``amplitude_condition`` and ``amplitude_rank`` are the window's
+    ``Decomposition`` fields of the same name, NaN and 0 on a failed window.
     """
 
     window_start_index: int
@@ -59,6 +59,7 @@ class ModeTrack:
     errors: tuple[float, float]  # (relative rms, relative max)
     failed: bool = False
     amplitude_condition: float = math.nan
+    amplitude_rank: int = 0
 
 
 def _decompose_window(
@@ -75,6 +76,7 @@ def _decompose_window(
                 dec.modes,
                 errors,
                 amplitude_condition=dec.amplitude_condition,
+                amplitude_rank=dec.amplitude_rank,
             )
         except (DegenerateInputError, np.linalg.LinAlgError):
             pass

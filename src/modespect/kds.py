@@ -222,37 +222,45 @@ def _local_maxima(values: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(starts[1:-1][peak].tolist(), ends[1:-1][peak].tolist()))
 
 
-def _prominences(values: np.ndarray, runs: list[tuple[int, int]]) -> np.ndarray:
-    """Topographic prominence per peak run.
+def _stop_bases(heights: list, gaps: list, stops) -> np.ndarray:
+    """Lowest gap between each peak and the nearest earlier peak that stops it,
+    or the start of the scan when none does.
 
-    Peaks are processed tallest first (ties leftmost first); a walk outward
-    from a peak stops at strictly higher terrain or at an equal-height peak
-    that ranks earlier, so the parent of an exact twin keeps full prominence
-    while the twin is measured against their shared saddle.
+    ``gaps[i]`` is the lowest value just before peak i in scan order, and
+    ``stops(earlier, h)`` says whether a peak of height ``earlier`` ends the
+    walk from one of height h.  A stack holds the peaks that no later peak
+    has passed, each with the lowest gap back to the peak below it.
     """
-    n = values.size
-    heights = np.array([values[l] for l, _ in runs])
-    order = sorted(range(len(runs)), key=lambda k: (-heights[k], runs[k][0]))
-    processed = np.zeros(n, dtype=bool)
-    prominence = np.empty(len(runs))
-    for k in order:
-        left, right = runs[k]
-        h = heights[k]
-        bases = []
-        for step, start in ((-1, left - 1), (1, right + 1)):
-            lowest = h
-            j = start
-            while 0 <= j < n:
-                v = values[j]
-                if v > h or (v == h and processed[j]):
-                    break
-                if v < lowest:
-                    lowest = v
-                j += step
-            bases.append(lowest)
-        prominence[k] = h - max(bases)
-        processed[left : right + 1] = True
-    return prominence
+    bases = np.empty(len(heights))
+    stack: list[tuple[float, float]] = []
+    for i, (h, low) in enumerate(zip(heights, gaps)):
+        while stack and not stops(stack[-1][0], h):
+            low = min(low, stack.pop()[1])
+        bases[i] = low
+        stack.append((h, low))
+    return bases
+
+
+def _prominences(values: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Topographic prominence per peak run; ``left`` and ``right`` hold the
+    runs' first and last indices in ascending order.
+
+    Peaks rank tallest first, ties leftmost first; a walk outward from a peak
+    stops at strictly higher terrain or at an equal-height peak that ranks
+    earlier, so the parent of an exact twin keeps full prominence while the
+    twin is measured against their shared saddle.  The base on each side is
+    the lowest point the walk passes.  Between neighbouring maxima the
+    terrain only falls, then rises, so that is the lowest point of the gaps
+    up to the nearest stopping peak: on the left one at least as high, on
+    the right one strictly higher (an equal one to the right ranks later).
+    """
+    heights = values[left]
+    # lowest value before the first peak, between neighbours, after the last
+    gaps = np.minimum.reduceat(values, np.r_[0, np.c_[left, right + 1].ravel()])[::2]
+    h, g = heights.tolist(), gaps.tolist()
+    left_base = _stop_bases(h, g[:-1], lambda earlier, hk: earlier >= hk)
+    right_base = _stop_bases(h[::-1], g[:0:-1], lambda later, hk: later > hk)[::-1]
+    return heights - np.maximum(left_base, right_base)
 
 
 def find_peaks(spec: Spectrum, min_prominence: float) -> list[tuple[float, float]]:
@@ -265,11 +273,7 @@ def find_peaks(spec: Spectrum, min_prominence: float) -> list[tuple[float, float
         raise ValueError("spectrum is empty")
     if min_prominence < 0:
         raise ValueError("min_prominence must be >= 0")
-    runs = _local_maxima(spec.values)
-    keep = _prominences(spec.values, runs) >= min_prominence
-    out = []
-    for (left, right), ok in zip(runs, keep):
-        if ok:
-            mid = (left + right) // 2
-            out.append((float(spec.frequencies[mid]), float(spec.values[mid])))
-    return out
+    left, right = np.array(_local_maxima(spec.values), dtype=int).reshape(-1, 2).T
+    keep = _prominences(spec.values, left, right) >= min_prominence
+    mid = (left[keep] + right[keep]) // 2
+    return list(zip(spec.frequencies[mid].tolist(), spec.values[mid].tolist()))

@@ -1,5 +1,7 @@
 import cmath
 import math
+import platform
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from modespect import (
     reconstruct,
     synth_decaying_sum,
 )
-from modespect.decompose import _merge_duplicates
+from modespect.decompose import _fit_b, _merge_duplicates, _power_table
 
 from conftest import head, peak_amplitude
 
@@ -240,6 +242,71 @@ class TestFitAmplitudes:
         ]
         with pytest.warns(RuntimeWarning, match="ill-conditioned"):
             fit_amplitudes(modes, snap)
+
+
+def edge_eigenvalues():
+    """Unit-circle points, signed zeros, extreme moduli and 400 random poles."""
+    growth = cmath.exp(600 / 1023)
+    edge = [
+        1, -1, 1j, -1j, 1 - 0j, complex(1.0, -0.0), complex(-1.0, -0.0),
+        complex(-0.5, 0.0), complex(-0.5, -0.0), complex(-0.0, 1.0),
+        complex(-0.0, -1.0), 1e-300, complex(1e-300, -1e-300), 1e-12,
+        1e-12 * cmath.exp(1j), growth, growth * cmath.exp(0.3j),
+        0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+    ]
+    rng = np.random.default_rng(7)
+    poles = np.exp(rng.uniform(-0.01, 0.002, 400) + 1j * rng.uniform(-np.pi, np.pi, 400))
+    return np.r_[np.array(edge, dtype=complex), poles]
+
+
+def assert_bitwise_equal(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(expected)))
+
+
+class TestPowerTable:
+    @pytest.mark.skipif(
+        platform.libc_ver()[0] != "glibc", reason="cpow is cexp(k clog z) in glibc"
+    )
+    @pytest.mark.parametrize("k", [1, 99, 100, 101, 1024])
+    def test_complex_table_matches_power_operator(self, k):
+        lam = edge_eigenvalues()
+        with np.errstate(over="ignore"):
+            expected = lam[:, None] ** np.arange(k)
+            got = _power_table(lam, k)
+        assert_bitwise_equal(got, expected)
+
+    def test_no_temporary_beside_the_table(self):
+        lam = edge_eigenvalues()[-40:]
+        tracemalloc.start()
+        table = _power_table(lam, 2**15)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1.05 * table.nbytes
+
+    def test_real_eigenvalues_keep_a_float_table(self):
+        lam = np.array([0.99, -0.5, 1.0, -1.0, 0.0, -0.0, 1e-300])
+        for k in (1, 150):
+            got = _power_table(lam, k)
+            assert got.dtype == np.float64
+            assert_bitwise_equal(got, lam[:, None] ** np.arange(k))
+
+
+class TestAmplitudeRank:
+    def test_duplicate_pole_rank_reported(self):
+        shapes = np.ones((1, 2), dtype=complex)
+        lam = np.array([0.9 + 0.1j, 0.9 + 0.1j])
+        data = np.real(lam[0] ** np.arange(40))[None, :]
+        with pytest.warns(RuntimeWarning, match="rank 1/2"):
+            _, cond, rank = _fit_b(shapes, lam, data)
+        assert rank == 1 and cond > 1e12
+
+    def test_full_rank_fit_on_a_decomposition(self):
+        ts = synth_decaying_sum(preset_components("paper-case-2"), fs=FS, n=2048)
+        dec = hodmd(build_snapshots(ts), HodmdConfig(d=30, dt=ts.dt))
+        assert dec.amplitude_rank == dec.ranks[1] == 6
 
 
 class TestMergeDuplicates:

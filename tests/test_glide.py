@@ -207,6 +207,15 @@ class TestBatchHodmd:
         assert tracks[0].amplitude_condition == dec.amplitude_condition
         assert tracks[1].failed and math.isnan(tracks[1].amplitude_condition)
 
+    def test_amplitude_rank_on_each_track(self):
+        good = stationary_signal(n=600)
+        dead = TimeSeries(np.zeros(600), good.dt)
+        dec = hodmd(build_snapshots(good), small_cfg())
+        tracks = batch_hodmd([good, dead], small_cfg())
+        assert dec.amplitude_rank == dec.ranks[1] == 4
+        assert tracks[0].amplitude_rank == dec.amplitude_rank
+        assert tracks[1].failed and tracks[1].amplitude_rank == 0
+
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             batch_hodmd([], small_cfg())

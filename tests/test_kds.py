@@ -15,7 +15,7 @@ from modespect import (
     kds_gaussian,
     kds_lorentz,
 )
-from modespect.kds import _local_maxima
+from modespect.kds import _local_maxima, _prominences
 
 DT = 4e-5
 
@@ -344,3 +344,87 @@ def plateau_peaks_brute_force(v):
 def test_local_maxima_matches_plateau_definition(ints):
     v = np.array(ints, dtype=float)
     assert _local_maxima(v) == plateau_peaks_brute_force(ints)
+
+
+def walk_prominences(values, runs):
+    """Reference: the per-sample walk, tallest peak first, ties leftmost first."""
+    n = values.size
+    heights = np.array([values[l] for l, _ in runs])
+    order = sorted(range(len(runs)), key=lambda k: (-heights[k], runs[k][0]))
+    processed = np.zeros(n, dtype=bool)
+    prominence = np.empty(len(runs))
+    for k in order:
+        left, right = runs[k]
+        h = heights[k]
+        bases = []
+        for step, start in ((-1, left - 1), (1, right + 1)):
+            lowest = h
+            j = start
+            while 0 <= j < n:
+                v = values[j]
+                if v > h or (v == h and processed[j]):
+                    break
+                if v < lowest:
+                    lowest = v
+                j += step
+            bases.append(lowest)
+        prominence[k] = h - max(bases)
+        processed[left : right + 1] = True
+    return prominence
+
+
+def array_prominences(values):
+    runs = _local_maxima(values)
+    left, right = np.array(runs, dtype=int).reshape(-1, 2).T
+    return runs, _prominences(values, left, right)
+
+
+class TestArrayProminences:
+    @pytest.mark.parametrize(
+        "levels",
+        [
+            [0, 1, 0.8, 1, 0],  # exact twins
+            [0, 2, 1, 2, 1, 2, 0],  # three equal peaks
+            [1, 0, 1, 0, 1],  # maxima at both edges, one interior
+            [3, 0, 1, 0, 2, 2, 0, 3],  # edges higher than every peak
+            [0, 1, 1, 1, 0, 1, 0],  # plateau then a twin
+            [0, 1, 0, 2, 0, 1, 0],  # lower peaks on both sides
+            [5, 4, 3, 2, 1],  # no peaks
+        ],
+    )
+    def test_hand_cases_match_walk(self, levels):
+        v = np.array(levels, dtype=float)
+        runs, got = array_prominences(v)
+        assert np.array_equal(got, walk_prominences(v, runs))
+
+    @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=40))
+    @settings(max_examples=400, deadline=None)
+    def test_quantized_arrays_match_walk(self, levels):
+        v = 0.25 * np.array(levels, dtype=float)
+        runs, got = array_prominences(v)
+        assert np.array_equal(got, walk_prominences(v, runs))
+
+    @pytest.mark.parametrize("n_levels", [2, 3, 5, 9])
+    def test_long_quantized_arrays_match_walk(self, n_levels):
+        rng = np.random.default_rng(n_levels)
+        v = np.floor(rng.random(3000) * n_levels) / n_levels
+        runs, got = array_prominences(v)
+        assert len(runs) > 100
+        assert np.array_equal(got, walk_prominences(v, runs))
+        f = np.arange(v.size, dtype=float)
+        expected = [
+            (float(f[(l + r) // 2]), float(v[(l + r) // 2]))
+            for (l, r), p in zip(runs, walk_prominences(v, runs))
+            if p >= 0.3
+        ]
+        assert find_peaks(Spectrum(f, v, {}), 0.3) == expected
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tie_free_arrays_match_scipy(self, seed):
+        signal = pytest.importorskip("scipy.signal")
+        rng = np.random.default_rng(seed)
+        v = np.cumsum(rng.normal(size=5000)) ** 2 + rng.random(5000)
+        runs, got = array_prominences(v)
+        assert all(l == r for l, r in runs) and len(runs) > 100
+        peaks = np.array([l for l, _ in runs])
+        assert np.array_equal(got, signal.peak_prominences(v, peaks)[0])
