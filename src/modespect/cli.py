@@ -24,6 +24,7 @@ from . import fileio
 from .config import (
     ConfigError,
     RunConfig,
+    parse_bool,
     parse_components,
     parse_grid,
     parse_policy,
@@ -96,14 +97,7 @@ def _kds_config(args, cfg: RunConfig) -> KdsConfig:
     weighting = pick(args.weighting, cfg, "kds", "weighting", str, "density")
     grid_text = pick(args.grid, cfg, "kds", "grid", str, None)
     tau_max = pick(args.tau_max, cfg, "kds", "tau_max", float, float("inf"))
-    unit_num = pick(
-        None,
-        cfg,
-        "kds",
-        "lorentz_unit_numerator",
-        lambda s: s.strip().lower() in ("1", "true", "yes"),
-        True,
-    )
+    unit_num = pick(None, cfg, "kds", "lorentz_unit_numerator", parse_bool, True)
     if args.lorentz_sqrt_numerator:
         unit_num = False
     try:

@@ -54,6 +54,7 @@ __all__ = [
     "RunConfig",
     "parse_policy",
     "format_policy",
+    "parse_bool",
     "parse_grid",
     "parse_components",
 ]
@@ -91,6 +92,15 @@ def format_policy(policy: Optional[TruncationPolicy]) -> str:
     if isinstance(policy, FixedCount):
         return f"count:{policy.n}"
     return "optimal"
+
+
+def parse_bool(text: str) -> bool:
+    """Parse one of configparser's boolean words (1/yes/true/on, 0/no/false/off)."""
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    word = text.strip().lower()
+    if word not in states:
+        raise ValueError(f"expected one of {', '.join(states)}")
+    return states[word]
 
 
 def parse_grid(text: str) -> FrequencyGrid:

@@ -520,39 +520,20 @@ def _column_blocks(a: np.ndarray) -> list:
     return [a[:, c : c + _BLOCK] for c in range(0, a.shape[1], _BLOCK)]
 
 
-def _sketch_start(a: np.ndarray, width: int) -> np.ndarray:
-    """Orthonormal (rows, width) start: qr(a a^H g), g of fixed-seed signed bytes.
+def _power_pass(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The R factor of a^H q and the product a a^H q, both by column blocks.
 
-    The range finder needs no Gaussian g; its stopping test decides accuracy.
-    The standard library draws the bytes because importing numpy.random would
-    cost every process ~6 MB of resident memory.
+    Each block's rows of a^H q go into a running QR of the rows so far and
+    into the product, then are dropped, so no long-side array is formed.
+    The singular values of the R factor are those of q^H a.
     """
-    rows = a.shape[0]
-    bits = random.Random(_SKETCH_SEED).randbytes(rows * width)
-    g = np.frombuffer(bits, dtype=np.int8).reshape(rows, width).astype(float)
-    return np.linalg.qr(sum(b @ (b.conj().T @ g) for b in _column_blocks(a)))[0]
-
-
-def _ritz_values(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Singular values of q^H a, from the R factor of a^H q built by blocks."""
     r = np.zeros((0, q.shape[1]), dtype=np.result_type(a, q))
+    y = 0
     for b in _column_blocks(a):
-        r = np.linalg.qr(np.vstack([r, b.conj().T @ q]), mode="r")
-    return np.linalg.svd(r, compute_uv=False)
-
-
-def _ritz_passes(a: np.ndarray, q: np.ndarray):
-    """Subspace iteration from the orthonormal start ``q``.
-
-    After each pass, up to _MAX_PASSES, yields the Ritz triplets (left
-    vectors, values, right vectors) of ``a`` on the current subspace.
-    """
-    for _ in range(_MAX_PASSES):
-        # a^H q = z rz, so the Ritz triplets of q^H a come from rz^H alone
-        z, rz = np.linalg.qr((q.conj().T @ a).conj().T)
-        ub, s, vbh = np.linalg.svd(rz.conj().T)
-        yield q @ ub, s, z @ vbh.conj().T
-        q = np.linalg.qr(a @ z)[0]
+        c = (q.conj().T @ b).conj().T  # faster than b.conj().T @ q
+        r = np.linalg.qr(np.vstack([r, c]), mode="r")
+        y = y + b @ c
+    return r, y
 
 
 def _short_side_gram(a: np.ndarray) -> np.ndarray:
@@ -618,12 +599,14 @@ def _sketched_svd(a, policy: TruncationPolicy):
 
     None leaves the decision to the dense SVD: the sketch would pass
     min(shape) / _SKETCH_FRACTION columns, its cut-off lies outside it, the
-    passes did not converge, or the leading singular value is zero.  Until
-    the first Ritz values show that the cut-off lies inside the sketch,
-    work goes by column blocks: a sketch given up there leaves no freed
-    long-side arrays resident under the dense SVD.  Trial ranks use
-    ``linalg.truncation_rank``, so that :func:`_truncated_svd` decides each
-    reduction's rank in one call.
+    passes did not converge, or the leading singular value is zero.  Trial
+    ranks use ``linalg.truncation_rank``, so that :func:`_truncated_svd`
+    decides each reduction's rank in one call.
+
+    The start and every pass are one :func:`_power_pass`, which goes by
+    column blocks; long-side arrays appear only when the triplets are
+    formed, once the iteration has converged.  A sketch given up therefore
+    leaves no freed long-side arrays resident under the dense SVD.
     """
     build = a if callable(a) else lambda: a
     m = build()
@@ -650,26 +633,34 @@ def _sketched_svd(a, policy: TruncationPolicy):
         width = _SKETCH_WIDTH
     if _SKETCH_FRACTION * width > min(m.shape):
         return None
-    q = _sketch_start(m, width)
-    if exact is None:
-        first = _ritz_values(m, q)
-        if linalg.truncation_rank(first, policy, (width, width)) == width:
-            return None  # the cut-off lies outside the sketch
-    previous = None
-    for u, s, v in _ritz_passes(m, q):
+    # the range finder needs no Gaussian start, its stopping test decides
+    # accuracy; the standard library draws the signed bytes because
+    # importing numpy.random would cost every process ~6 MB of memory
+    bits = random.Random(_SKETCH_SEED).randbytes(m.shape[0] * width)
+    g = np.frombuffer(bits, dtype=np.int8).reshape(m.shape[0], width)
+    y = _power_pass(m, g.astype(float))[1]
+    reference = exact
+    for _ in range(_MAX_PASSES):
+        q = np.linalg.qr(y)[0]
+        r, y = _power_pass(m, q)
+        s = np.linalg.svd(r)[1]  # the Ritz values
         if exact is None:
             rank = linalg.truncation_rank(s, policy, (width, width))
             if rank == width:
                 return None  # the cut-off lies outside the sketch
-        reference = previous if exact is None else exact
         if reference is not None and s[0] > 0:
             head = reference[:rank]
             if np.all(np.abs(s[:rank] - head) <= _RITZ_RTOL * head):
-                if exact is None:
-                    exact = np.concatenate([s, np.zeros(min(m.shape) - width)])
-                return exact, u, s, v
-        previous = s
-    return None
+                break
+        reference = s if exact is None else exact
+    else:
+        return None
+    # a^H q = z rz, so the Ritz triplets of q^H a come from rz^H alone
+    z, rz = np.linalg.qr((q.conj().T @ m).conj().T)
+    ub, s, vbh = np.linalg.svd(rz.conj().T)
+    if exact is None:
+        exact = np.concatenate([s, np.zeros(min(m.shape) - width)])
+    return exact, q @ ub, s, z @ vbh.conj().T
 
 
 def _truncated_svd(a, policy: TruncationPolicy):
@@ -734,15 +725,11 @@ def hodmd(x: SnapshotMatrix, cfg: HodmdConfig) -> Decomposition:
     one- or two-channel input; the delay-embedded matrix is reduced under
     ``cfg.temporal_policy``; mode shapes come from the first delay block of
     the lifted eigenvectors mapped back through the spatial basis.  Both
-    reductions compute only the singular triplets they keep (see
-    :func:`_truncated_svd`).  Under ``OptimalHardThreshold`` the threshold's
-    singular values come from the eigenvalues of the short-side Gram matrix
-    where their error bars prove the rank, else from a values-only SVD;
-    ``Tolerance`` and ``FixedCount`` keep the sketch, since a squared cut-off
-    of 1e-10 lies below the Gram's rounding error (see :func:`_sketched_svd`).
-    The embedding is dropped while the Gram's eigenvalues are computed and
-    built again afterwards.  A delay-space rank equal to min(shape) at
-    d > 1 emits a ``RuntimeWarning``: every singular value was kept.
+    reductions compute only the singular triplets they keep; how each
+    policy's rank is found, and when the embedding is dropped and built
+    again, is told at :func:`_sketched_svd`.  A delay-space rank equal to
+    min(shape) at d > 1 emits a ``RuntimeWarning``: every singular value
+    was kept.
     """
     data = x.data
     m, k = data.shape

@@ -100,12 +100,17 @@ def _header_number(path, meta: dict, key: str, positive: bool, default=None) -> 
     return float(value)
 
 
-def _first_bad_line(path, skip: int):
-    """1-based number of the first data line that is non-numeric or ragged."""
+def _data_lines(path, skip: int) -> list:
+    """(1-based line number, comma-split fields) of each data row after ``skip`` lines."""
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         # loadtxt skips blank lines and drops '#' comments
         texts = [(lineno, line.split("#")[0]) for lineno, line in enumerate(fh, 1)]
-    rows = [(n, text.split(",")) for n, text in texts[skip:] if text.strip()]
+    return [(n, text.split(",")) for n, text in texts[skip:] if text.strip()]
+
+
+def _first_bad_line(path, skip: int):
+    """1-based number of the first data line that is non-numeric or ragged."""
+    rows = _data_lines(path, skip)
     for lineno, fields in rows:
         try:
             list(map(float, fields))
@@ -192,7 +197,24 @@ def read_modes(path) -> tuple[list[Mode], dict]:
     meta, _, table = _read_table(path, with_names=True)
     dt = _header_number(path, meta, "dt", positive=True)
     if isinstance(meta.get("ranks"), str):
-        meta["ranks"] = tuple(int(v) for v in meta["ranks"].split(","))
+        try:
+            meta["ranks"] = tuple(int(v) for v in meta["ranks"].split(","))
+        except ValueError as exc:
+            raise MalformedFileError(
+                f"{path}, line 1: header needs ranks=<integers>, got {meta['ranks']!r}"
+            ) from exc
+    n_columns = table.shape[1]
+    if n_columns < 4 or n_columns % 2:
+        raise MalformedFileError(
+            f"{path}, line 2: expected 4 rate columns and a re,im pair per "
+            f"channel, got {n_columns} columns"
+        )
+    bad = np.flatnonzero(~np.all(np.isfinite(table), axis=1) | (table[:, 2] < 0))
+    if bad.size:
+        lineno = _data_lines(path, 2)[bad[0]][0]
+        raise MalformedFileError(
+            f"{path}, line {lineno}: values must be finite and the amplitude >= 0"
+        )
     shapes = np.ascontiguousarray(table[:, 4:]).view(complex)  # re,im pairs
     modes = [
         Mode(f, g, a, p, shape, cmath.exp(complex(g, 2.0 * math.pi * f) * dt))
@@ -209,7 +231,15 @@ def write_spectrum(path, spec: Spectrum) -> None:
 
 def read_spectrum(path) -> Spectrum:
     meta, _, table = _read_table(path, with_names=True)
-    return Spectrum(table[:, 0], table[:, 1], meta)
+    if table.shape[1] != 2:
+        raise MalformedFileError(
+            f"{path}, line 2: expected 2 columns (frequency_hz,value), "
+            f"got {table.shape[1]}"
+        )
+    try:
+        return Spectrum(table[:, 0], table[:, 1], meta)
+    except ValueError as exc:
+        raise MalformedFileError(f"{path}: {exc}") from exc
 
 
 _TRACK_COLUMNS = (

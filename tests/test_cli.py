@@ -243,6 +243,54 @@ class TestSpectrum:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "header, row",
+        [
+            ("dt=4e-05 ranks=a,b,c", "2000,-80,1,0,1,0"),
+            ("dt=4e-05", "2000,-80,1,0,1,0,1"),
+            ("dt=4e-05", "2000,-80,1"),
+            ("dt=4e-05", "2000,-80,-1,0,1,0"),
+            ("dt=4e-05", "nan,-80,1,0,1,0"),
+        ],
+        ids=["ranks", "odd-shape", "three-columns", "negative-amplitude", "nan"],
+    )
+    def test_malformed_modes_file_exit_1(self, tmp_path, header, row):
+        modes_csv = tmp_path / "bad_modes.csv"
+        modes_csv.write_text(f"# {header}\nfrequency_hz,growth_rate\n{row}\n")
+        out = tmp_path / "s.csv"
+        code = run(
+            "spectrum", "--in", str(modes_csv), "--kernel", "gaussian",
+            "--h", "0.5", "--out", str(out),
+        )
+        assert code == 1
+        assert not out.exists()
+
+    def lorentz(self, tmp_path, modes_csv, name, *extra):
+        out = tmp_path / f"{name}.csv"
+        code = run(
+            "spectrum", "--in", str(modes_csv), "--kernel", "lorentz", "--h", "1",
+            "--grid", "1950:2090:0.1", "--out", str(out), *extra,
+        )
+        return code, out
+
+    def test_unknown_unit_numerator_word_exit_2(self, tmp_path, two_mode_file):
+        ini = tmp_path / "typo.ini"
+        ini.write_text("[kds]\nlorentz_unit_numerator = ture\n")
+        code, out = self.lorentz(tmp_path, two_mode_file, "typo", "--config", str(ini))
+        assert code == 2
+        assert not out.exists()
+
+    def test_unit_numerator_off_matches_sqrt_flag(self, tmp_path, two_mode_file):
+        ini = tmp_path / "off.ini"
+        ini.write_text("[kds]\nlorentz_unit_numerator = off\n")
+        code, off = self.lorentz(tmp_path, two_mode_file, "off", "--config", str(ini))
+        assert code == 0
+        code, flag = self.lorentz(
+            tmp_path, two_mode_file, "flag", "--lorentz-sqrt-numerator"
+        )
+        assert code == 0
+        assert off.read_bytes() == flag.read_bytes()
+
 
 class TestFft:
     def test_case1_peak_location(self, tmp_path):

@@ -162,6 +162,24 @@ class TestModesCsv:
         with pytest.raises(MalformedFileError, match="modes.csv, line 1:"):
             read_modes(path)
 
+    @pytest.mark.parametrize(
+        "header, row, line",
+        [
+            ("dt=1e-3 ranks=a,b,c", "2000,-80,1,0,1,0", 1),
+            ("dt=1e-3", "2000,-80,1,0,1,0,1", 2),  # odd shape columns
+            ("dt=1e-3", "2000,-80,1", 2),  # fewer than 4 columns
+            ("dt=1e-3", "2000,-80,-1,0,1,0", 3),  # negative amplitude
+            # a NaN row after a blank line and a good row
+            ("dt=1e-3", "\n2000,-80,1,0,1,0\nnan,-80,1,0,1,0", 5),
+        ],
+        ids=["ranks", "odd-shape", "three-columns", "negative-amplitude", "nan"],
+    )
+    def test_malformed_modes_file_names_line(self, tmp_path, header, row, line):
+        path = tmp_path / "modes.csv"
+        path.write_text(f"# {header}\nfrequency_hz,growth_rate\n{row}\n")
+        with pytest.raises(MalformedFileError, match=f"modes.csv, line {line}:"):
+            read_modes(path)
+
 
 class TestSpectrumCsv:
     def test_round_trip(self, tmp_path):
@@ -187,6 +205,21 @@ class TestSpectrumCsv:
         assert lines[0] == "# source=x"
         assert lines[1] == "frequency_hz,value"
         assert lines[2] == "1,0.5"
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            ("1\n2\n", "s.csv, line 2:"),
+            ("1,0.5,2\n", "s.csv, line 2:"),
+            ("1,-0.5\n", "s.csv: spectrum values"),
+        ],
+        ids=["one-column", "three-columns", "negative-value"],
+    )
+    def test_malformed_spectrum_file(self, tmp_path, rows, match):
+        path = tmp_path / "s.csv"
+        path.write_text("# source=x\nfrequency_hz,value\n" + rows)
+        with pytest.raises(MalformedFileError, match=match):
+            read_spectrum(path)
 
 
 class TestTracksCsv:

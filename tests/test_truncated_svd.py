@@ -167,6 +167,23 @@ def test_abandoned_sketch_allocates_no_long_side_array(case3_signal):
     assert peak < a.shape[1] * 16 * a.itemsize
 
 
+@pytest.mark.parametrize("policy", [Tolerance(1e-10), FixedCount(6)])
+def test_converged_sketch_passes_allocate_no_long_side_array(
+    case2_full, policy
+):
+    # the passes over the 200 x 16185 delay matrix go by column blocks; only
+    # the triplets, formed once, take long-side arrays: a^H q, its QR and v
+    a = build_delay_embedding(head(case2_full, 2**14).samples[None, :], 200)
+    tracemalloc.start()
+    try:
+        found = decompose._sketched_svd(a, policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found is not None
+    assert peak < 4 * a.shape[1] * 16 * a.itemsize
+
+
 def test_complex_input_matches_dense(sketched):
     dt = 1e-3
     k = np.arange(4096)
