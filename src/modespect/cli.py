@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -158,11 +159,19 @@ def _fourier_spectrum(args, cfg: RunConfig, ts, method: str):
 
 
 def _summary(dec) -> dict:
-    """Ranks and reconstruction errors, shared by the decompose and compare reports."""
+    """Ranks, reconstruction errors and the amplitude fit's condition and rank,
+    shared by the decompose and compare reports.
+
+    A non-finite condition (a singular fit) is written as null, since JSON
+    has no infinity.
+    """
+    cond = dec.amplitude_condition
     return {
         "ranks": dict(zip(("spatial", "temporal", "modes"), dec.ranks)),
         "relative_rms": dec.relative_rms,
         "relative_max": dec.relative_max,
+        "amplitude_condition": cond if math.isfinite(cond) else None,
+        "amplitude_rank": dec.amplitude_rank,
     }
 
 

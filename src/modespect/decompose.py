@@ -585,8 +585,10 @@ def _sketched_svd(a, policy: TruncationPolicy):
     of an eigenvalue of the short-side Gram matrix (:func:`_gram_values`).
     Their error bars must prove the SVD's rank, else one values-only SVD
     gives them, as it does for a clean record whose noise floor lies below
-    sqrt(eps) * sigma_1.  The iteration stops once the kept Ritz values
-    match them to _RITZ_RTOL.  Given a builder, the matrix is dropped while
+    sqrt(eps) * sigma_1; a wide matrix (:func:`_is_wide`) returns None
+    instead, since :func:`_blocked_svd` finds the same values on its way to
+    the triplets.  The iteration stops once the kept Ritz values match them
+    to _RITZ_RTOL.  Given a builder, the matrix is dropped while
     ``eigvalsh`` runs and built again after it, so it is never resident
     next to the Gram and LAPACK's copy of it.
 
@@ -597,11 +599,11 @@ def _sketched_svd(a, policy: TruncationPolicy):
     values padded with zeros, which lie below the cut-off like every value
     the sketch left out.
 
-    None leaves the decision to the dense SVD: the sketch would pass
-    min(shape) / _SKETCH_FRACTION columns, its cut-off lies outside it, the
-    passes did not converge, or the leading singular value is zero.  Trial
-    ranks use ``linalg.truncation_rank``, so that :func:`_truncated_svd`
-    decides each reduction's rank in one call.
+    None leaves the decision to :func:`_truncated_svd`'s other paths: the
+    sketch would pass min(shape) / _SKETCH_FRACTION columns, its cut-off
+    lies outside it, the passes did not converge, or the leading singular
+    value is zero.  Trial ranks use ``linalg.truncation_rank``, so that
+    :func:`_truncated_svd` decides each reduction's rank in one call.
 
     The start and every pass are one :func:`_power_pass`, which goes by
     column blocks; long-side arrays appear only when the triplets are
@@ -620,6 +622,8 @@ def _sketched_svd(a, policy: TruncationPolicy):
         del m
         exact = _gram_values(g, shape)
         del g
+        if exact is None and _is_wide(shape):
+            return None  # the blocked SVD gives the values and the triplets
         m = build()
         if exact is None:
             exact = np.linalg.svd(m, compute_uv=False)
@@ -655,12 +659,50 @@ def _sketched_svd(a, policy: TruncationPolicy):
         reference = s if exact is None else exact
     else:
         return None
-    # a^H q = z rz, so the Ritz triplets of q^H a come from rz^H alone
-    z, rz = np.linalg.qr((q.conj().T @ m).conj().T)
-    ub, s, vbh = np.linalg.svd(rz.conj().T)
+    u, s, v = _ritz_triplets(m, q)
     if exact is None:
         exact = np.concatenate([s, np.zeros(min(m.shape) - width)])
-    return exact, q @ ub, s, z @ vbh.conj().T
+    return exact, u, s, v
+
+
+def _ritz_triplets(a: np.ndarray, q: np.ndarray):
+    """Ritz triplets (u, s, v) of ``a`` on the range of the orthonormal q."""
+    # a^H q = z rz, so the Ritz triplets of q^H a come from rz^H alone
+    z, rz = np.linalg.qr((q.conj().T @ a).conj().T)
+    ub, s, vbh = np.linalg.svd(rz.conj().T)
+    return q @ ub, s, z @ vbh.conj().T
+
+
+def _is_wide(shape: tuple[int, int]) -> bool:
+    """Whether a matrix of ``shape`` goes to :func:`_blocked_svd`: fewer
+    rows than columns, and more than one _BLOCK of columns."""
+    return shape[0] < shape[1] > _BLOCK
+
+
+def _blocked_svd(a: np.ndarray, policy: TruncationPolicy):
+    """Every singular value and the kept triplets of a wide matrix, or None.
+
+    Returns (values, u, s, v) as :func:`_sketched_svd` does, or None when
+    ``a`` is not wide (:func:`_is_wide`) or its leading singular value is
+    zero.  a^H = Q R, so the rows x rows factor R^H = U S W^H holds every
+    singular value and the left vectors of a.  R comes from a running QR of
+    the blocks of a^H, each checked for non-finite entries first; the
+    trial rank under ``policy`` takes the kept columns of U, and
+    :func:`_ritz_triplets` forms the triplets from them.  Only rows x rows
+    arrays stay resident next to ``a`` until then.
+    """
+    if not _is_wide(a.shape):
+        return None
+    r = np.zeros((0, a.shape[0]), dtype=np.result_type(a.dtype, np.float32))
+    for b in _column_blocks(a):
+        if not np.all(np.isfinite(b)):
+            raise ValueError("matrix contains non-finite entries")
+        r = np.linalg.qr(np.vstack([r, b.conj().T]), mode="r")
+    ur, values, _ = np.linalg.svd(r.conj().T)
+    if values[0] == 0:
+        return None
+    rank = linalg.truncation_rank(values, policy, a.shape)
+    return (values, *_ritz_triplets(a, ur[:, :rank]))
 
 
 def _truncated_svd(a, policy: TruncationPolicy):
@@ -668,14 +710,18 @@ def _truncated_svd(a, policy: TruncationPolicy):
 
     ``a`` is the matrix, or a function that builds it (see
     :func:`_sketched_svd`).  ``a ~= u @ diag(s) @ v^H`` over the kept
-    triplets.  Subspace iteration finds them where it can; the dense
-    economy SVD decides otherwise, so a matrix whose rank saturates gets
-    the dense result exactly.  Either way one ``truncation_rank`` call on
-    the matrix's shape decides the rank.
+    triplets.  Subspace iteration finds them where it can.  Otherwise a
+    wide matrix of more than one column block gets every singular value
+    from one blocked QR pass (:func:`_blocked_svd`), and every other shape
+    the dense economy SVD, so the 500 x 525 matrix of a saturated segment
+    gets the dense result exactly.  Each way one ``truncation_rank`` call
+    on the matrix's shape decides the rank.
     """
     found = _sketched_svd(a, policy)
     if found is None:
         m = a() if callable(a) else a
+        found = _blocked_svd(m, policy)
+    if found is None:
         sv = svd_econ(m)
         s = sv.singular_values
         if s[0] == 0:
@@ -725,9 +771,10 @@ def hodmd(x: SnapshotMatrix, cfg: HodmdConfig) -> Decomposition:
     one- or two-channel input; the delay-embedded matrix is reduced under
     ``cfg.temporal_policy``; mode shapes come from the first delay block of
     the lifted eigenvectors mapped back through the spatial basis.  Both
-    reductions compute only the singular triplets they keep; how each
-    policy's rank is found, and when the embedding is dropped and built
-    again, is told at :func:`_sketched_svd`.  A delay-space rank equal to
+    reductions compute only the singular triplets they keep; which path
+    finds them is told at :func:`_truncated_svd`, and how the sketch finds
+    each policy's rank, and when it drops the embedding and builds it
+    again, at :func:`_sketched_svd`.  A delay-space rank equal to
     min(shape) at d > 1 emits a ``RuntimeWarning``: every singular value
     was kept.
     """

@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from modespect.cli import main
+from modespect.cli import _summary, main
+from modespect.decompose import Decomposition, HodmdConfig
 from modespect.fileio import read_modes, read_spectrum, read_timeseries, read_tracks
 
 FS = 25_000.0
@@ -106,6 +108,28 @@ class TestDecompose:
         assert code == 0
         modes, _ = read_modes(modes_csv)
         assert len(modes) == 3
+
+    def test_summary_reports_amplitude_fit(self, tmp_path, case2_file):
+        summary_json = tmp_path / "summary.json"
+        code = run(
+            "decompose", "--in", str(case2_file), "--d", "50",
+            "--out-modes", str(tmp_path / "m.csv"), "--out-summary", str(summary_json),
+        )
+        assert code == 0
+        summary = json.loads(summary_json.read_text())
+        assert summary["amplitude_rank"] == 6
+        assert math.isfinite(summary["amplitude_condition"])
+        assert summary["amplitude_condition"] >= 1.0
+
+    def test_singular_amplitude_fit_summary_is_null(self):
+        dec = Decomposition(
+            modes=(), relative_rms=0.0, relative_max=0.0,
+            config=HodmdConfig(d=2, dt=1.0 / FS), ranks=(1, 2, 0),
+            amplitude_condition=math.inf, amplitude_rank=1,
+        )
+        summary = json.loads(json.dumps(_summary(dec), allow_nan=False))
+        assert summary["amplitude_condition"] is None
+        assert summary["amplitude_rank"] == 1
 
     def test_all_zero_input_exit_4(self, tmp_path):
         zero = tmp_path / "zero.csv"

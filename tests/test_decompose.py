@@ -502,6 +502,16 @@ class TestHodmd:
         with pytest.raises(DegenerateInputError):
             hodmd(snap, HodmdConfig(d=10, dt=DT))
 
+    @pytest.mark.parametrize("d", [10, 30, 200])
+    def test_non_finite_sample_rejected(self, case2_full, d):
+        # d = 10 and 30 give delay matrices too small to sketch, which the
+        # blocked SVD reduces; d = 200 is checked by the sketch
+        samples = head(case2_full, 8192).samples.copy()
+        samples[4000] = math.nan
+        snap = SnapshotMatrix(samples[None, :], DT)
+        with pytest.raises(ValueError, match="non-finite"):
+            hodmd(snap, HodmdConfig(d=d, dt=DT))
+
     def test_complex_input_supported(self):
         # two complex exponentials on one channel: modes stay unpaired
         dt = 1e-3

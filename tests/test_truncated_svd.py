@@ -1,9 +1,10 @@
 """The rank-adaptive delay-space reduction against the dense SVD path.
 
 ``decompose._truncated_svd`` finds the kept singular triplets by subspace
-iteration where it can.  With ``_sketched_svd`` patched to return None every
-reduction takes the dense ``svd_econ`` + ``truncation_rank`` path, which is
-the reference here.
+iteration where it can, and on a wide multi-block matrix by a blocked QR
+pass (``_blocked_svd``) otherwise.  With both patched to return None every
+reduction takes the dense ``svd_econ`` + ``truncation_rank`` path, LAPACK's
+SVD, which is the reference here.
 """
 
 import math
@@ -31,7 +32,9 @@ from modespect import (
     find_peaks,
     hodmd,
     kds_gaussian,
+    svd_econ,
     synth_decaying_sum,
+    truncation_rank,
 )
 
 from conftest import head, peak_amplitude
@@ -44,6 +47,7 @@ def dense(run, *args):
     """``run(*args)`` with every SVD reduction on the dense path."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(decompose, "_sketched_svd", lambda a, policy: None)
+        mp.setattr(decompose, "_blocked_svd", lambda a, policy: None)
         return run(*args)
 
 
@@ -184,15 +188,19 @@ def test_converged_sketch_passes_allocate_no_long_side_array(
     assert peak < 4 * a.shape[1] * 16 * a.itemsize
 
 
+def complex_signal(n):
+    """Three complex damped exponentials at 1 kHz sampling, n samples."""
+    k = np.arange(n)
+    return (
+        0.8 * np.exp(complex(-2.0, 2 * math.pi * 50.0) * 1e-3) ** k
+        + 0.3 * np.exp(complex(-5.0, -2 * math.pi * 120.0) * 1e-3) ** k
+        + 0.1 * np.exp(complex(-1.0, 2 * math.pi * 310.0) * 1e-3) ** k
+    )
+
+
 def test_complex_input_matches_dense(sketched):
     dt = 1e-3
-    k = np.arange(4096)
-    x = (
-        0.8 * np.exp(complex(-2.0, 2 * math.pi * 50.0) * dt) ** k
-        + 0.3 * np.exp(complex(-5.0, -2 * math.pi * 120.0) * dt) ** k
-        + 0.1 * np.exp(complex(-1.0, 2 * math.pi * 310.0) * dt) ** k
-    )
-    snap, cfg = SnapshotMatrix(x[None, :], dt), HodmdConfig(d=100, dt=dt)
+    snap, cfg = SnapshotMatrix(complex_signal(4096)[None, :], dt), HodmdConfig(d=100, dt=dt)
     fast = hodmd(snap, cfg)
     assert sketched == [True]
     assert not fast.real_input and fast.ranks[1] == 3
@@ -294,3 +302,88 @@ def test_no_saturation_warning_on_clean_case2(case2_full):
         warnings.simplefilter("error")
         dec = hodmd(build_snapshots(ts), HodmdConfig(d=50, dt=ts.dt))
     assert dec.ranks[1] == 6
+
+
+@pytest.mark.parametrize("policy", [Tolerance(1e-10), FixedCount(6), OPTIMAL])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_blocked_svd_matches_lapack(monkeypatch, case3_signal, kind, policy):
+    # 100 x 16285 (paper-case-3) and 100 x 8093 (complex) delay matrices, the
+    # sketch patched out so the blocked QR pass decides.  Under the optimal
+    # threshold 1e-6 noise lifts the median above rounding level, where a
+    # last-bit difference between two SVD algorithms could move the rank;
+    # it is also too small for the Gram to certify, which routes such a
+    # matrix to the blocked pass.
+    x = case3_signal.samples if kind == "real" else complex_signal(2**13)
+    if policy == OPTIMAL:
+        rng = np.random.default_rng(7)
+        noise = rng.normal(size=x.shape)
+        if kind == "complex":
+            noise = noise + 1j * rng.normal(size=x.shape)
+        x = x + 1e-6 * np.max(np.abs(x)) * noise
+    a = build_delay_embedding(x[None, :], 100)
+    blocked = []
+    original = decompose._blocked_svd
+
+    def spy(m, policy):
+        found = original(m, policy)
+        blocked.append(found is not None)
+        return found
+
+    monkeypatch.setattr(decompose, "_sketched_svd", lambda a, policy: None)
+    monkeypatch.setattr(decompose, "_blocked_svd", spy)
+    r, u, s, v = decompose._truncated_svd(a, policy)
+    assert blocked == [True]
+    ref = svd_econ(a)
+    values = ref.singular_values
+    assert r == truncation_rank(values, policy, a.shape)
+    scale = 1e-12 * values[0]
+    assert np.max(np.abs(s - values[:r])) <= scale
+    product = (u * s) @ v.conj().T
+    ref_product = (ref.left_vectors[:, :r] * values[:r]) @ ref.right_vectors[:, :r].conj().T
+    assert np.max(np.abs(product - ref_product)) <= scale
+    for w in (u, v):
+        assert np.max(np.abs(w.conj().T @ w - np.eye(r))) <= 1e-12
+
+
+def test_blocked_svd_keeps_square_state(case3_signal):
+    # the rank 16 of the 100 x 16285 delay matrix fills the sketch; the
+    # blocked pass after it keeps 100 x 100 factors and one block resident
+    a = build_delay_embedding(case3_signal.samples[None, :], 100)
+    tracemalloc.start()
+    try:
+        r = decompose._truncated_svd(a, Tolerance(1e-10))[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r == 16
+    assert peak < 0.75 * a.nbytes
+
+
+def test_clean_optimal_record_runs_no_lapack_svd_of_the_matrix(
+    monkeypatch, case3_signal
+):
+    # the Gram of the clean 100 x 16285 delay matrix is not certified: the
+    # blocked pass gives the values, with no values-only or dense SVD
+    ts = case3_signal
+    snap = build_snapshots(ts)
+    cfg = HodmdConfig(d=100, dt=ts.dt, temporal_policy=OPTIMAL)
+    ref = dense(hodmd, snap, cfg)
+    values_only, dense_calls = [], []
+    svd = np.linalg.svd
+
+    def svd_spy(a, *args, **kwargs):
+        values_only.append(not kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    def econ_spy(m):
+        dense_calls.append(m.shape)
+        return svd_econ(m)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    monkeypatch.setattr(decompose, "svd_econ", econ_spy)
+    fast = hodmd(snap, cfg)
+    assert not any(values_only) and dense_calls == []
+    assert fast.ranks[2] == ref.ranks[2]
+    fa = sorted(m.frequency_hz for m in fast.modes)
+    fb = sorted(m.frequency_hz for m in ref.modes)
+    assert np.max(np.abs(np.subtract(fa, fb))) <= 1e-9
