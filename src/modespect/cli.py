@@ -5,7 +5,8 @@ Subcommands: ``synth``, ``decompose``, ``spectrum``, ``fft``, ``glide``,
 config file (``--config``); see :mod:`modespect.config` for the file layout.
 
 Exit codes: 0 ok, 1 I/O failure or malformed input file, 2 invalid
-configuration, 3 window sizing violation (K <= 2*d), 4 degenerate input.
+configuration, 3 window sizing violation (K <= 2*d), 4 degenerate input
+(all-zero or non-finite samples, or no usable modes).
 Configuration is validated before any computation starts, and output files
 are written only after the computation succeeds.
 """
@@ -71,16 +72,13 @@ def _build_hodmd_config(args, cfg: RunConfig, dt: float) -> HodmdConfig:
         args.temporal, cfg, "hodmd", "temporal_policy", str, "tolerance:1e-10"
     )
     amplitude = pick(args.amplitude, cfg, "hodmd", "amplitude_policy", str, "none")
-    try:
-        return HodmdConfig(
-            d=d,
-            dt=dt,
-            spatial_policy=_required_policy(spatial, "spatial_policy"),
-            temporal_policy=_required_policy(temporal, "temporal_policy"),
-            amplitude_policy=parse_policy(amplitude),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return HodmdConfig(
+        d=d,
+        dt=dt,
+        spatial_policy=_required_policy(spatial, "spatial_policy"),
+        temporal_policy=_required_policy(temporal, "temporal_policy"),
+        amplitude_policy=parse_policy(amplitude),
+    )
 
 
 def _required_policy(text: str, name: str):
@@ -101,17 +99,14 @@ def _kds_config(args, cfg: RunConfig) -> KdsConfig:
     unit_num = pick(None, cfg, "kds", "lorentz_unit_numerator", parse_bool, True)
     if args.lorentz_sqrt_numerator:
         unit_num = False
-    try:
-        return KdsConfig(
-            kernel=kernel,
-            h=h,
-            weighting=weighting,
-            grid=parse_grid(grid_text) if isinstance(grid_text, str) else grid_text,
-            lorentz_unit_numerator=unit_num,
-            tau_max=tau_max,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return KdsConfig(
+        kernel=kernel,
+        h=h,
+        weighting=weighting,
+        grid=parse_grid(grid_text) if isinstance(grid_text, str) else grid_text,
+        lorentz_unit_numerator=unit_num,
+        tau_max=tau_max,
+    )
 
 
 def _welch_settings(args, cfg: RunConfig, n_samples: int) -> WelchConfig:
@@ -119,25 +114,19 @@ def _welch_settings(args, cfg: RunConfig, n_samples: int) -> WelchConfig:
     overlap = pick(args.overlap, cfg, "fft", "overlap_fraction", float, None)
     window = pick(args.window, cfg, "fft", "window", str, "hann")
     base = default_welch_config(n_samples)
-    try:
-        return WelchConfig(
-            segment_length=seg if seg is not None else base.segment_length,
-            overlap_fraction=overlap if overlap is not None else base.overlap_fraction,
-            window=window,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return WelchConfig(
+        segment_length=seg if seg is not None else base.segment_length,
+        overlap_fraction=overlap if overlap is not None else base.overlap_fraction,
+        window=window,
+    )
 
 
 def _run_kds(modes, kds_cfg: KdsConfig):
     if not modes:
         raise DegenerateInputError("mode list is empty")
-    try:
-        if kds_cfg.kernel == "gaussian":
-            return kds_gaussian(modes, kds_cfg)
-        return kds_lorentz(modes, kds_cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if kds_cfg.kernel == "gaussian":
+        return kds_gaussian(modes, kds_cfg)
+    return kds_lorentz(modes, kds_cfg)
 
 
 def _fourier_method(args, cfg: RunConfig) -> str:
@@ -149,13 +138,10 @@ def _fourier_method(args, cfg: RunConfig) -> str:
 
 def _fourier_spectrum(args, cfg: RunConfig, ts, method: str):
     """Periodogram or Welch estimate of ``ts`` under the [fft] settings."""
-    try:
-        if method == "welch":
-            return welch(ts, _welch_settings(args, cfg, len(ts)))
-        window = pick(args.window, cfg, "fft", "window", str, "rectangular")
-        return periodogram(ts, window)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if method == "welch":
+        return welch(ts, _welch_settings(args, cfg, len(ts)))
+    window = pick(args.window, cfg, "fft", "window", str, "rectangular")
+    return periodogram(ts, window)
 
 
 def _summary(dec) -> dict:
@@ -188,16 +174,9 @@ def _cmd_synth(args, cfg: RunConfig) -> int:
     else:
         entries = list(args.component or []) or cfg.component_entries()
         components = parse_components(entries)
-    if not (fs > 0):
-        raise ConfigError(f"fs must be positive, got {fs}")
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
-    try:
-        ts = synth_decaying_sum(components, fs=fs, n=n)
-        if sigma:
-            ts = add_gaussian_noise(ts, sigma, seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    ts = synth_decaying_sum(components, fs=fs, n=n)
+    if sigma:
+        ts = add_gaussian_noise(ts, sigma, seed)
     fileio.write_timeseries(args.out, ts)
     return EXIT_OK
 
@@ -244,11 +223,15 @@ def _cmd_glide(args, cfg: RunConfig) -> int:
     _check_distinct_outputs(args.out_tracks, args.out_pooled)
     if args.pool and not args.out_pooled:
         raise ConfigError("--pool requires --out-pooled")
+    if args.out_pooled and not args.pool:
+        raise ConfigError("--out-pooled requires --pool")
     window_len = pick(args.window_len, cfg, "glide", "window_len", int, None)
     if window_len is None:
         raise ConfigError("window_len is required (--window-len or [glide] window_len)")
     hop = pick(args.hop, cfg, "glide", "hop", int, 64)
     floor = pick(args.floor, cfg, "glide", "floor", float, 0.0)
+    if args.pool:
+        pool_modes((), floor)  # rejects a bad floor before the sweep
     ts = fileio.read_timeseries(args.infile)
     hodmd_cfg = _build_hodmd_config(args, cfg, ts.dt)
     glide_cfg = GlideConfig(window_len=window_len, hodmd=hodmd_cfg, hop=hop)
@@ -285,6 +268,8 @@ def _cmd_compare(args, cfg: RunConfig) -> int:
     truths = (
         [float(v) for v in truth_text.split(",")] if truth_text is not None else None
     )
+    if truths is not None and args.peak_prominence < 0:
+        raise ConfigError(f"--peak-prominence must be >= 0, got {args.peak_prominence}")
     ts = fileio.read_timeseries(args.infile)
     hodmd_cfg = _build_hodmd_config(args, cfg, ts.dt)
     kds_cfg = _kds_config(args, cfg)

@@ -614,8 +614,6 @@ def _sketched_svd(a, policy: TruncationPolicy):
     m = build()
     if _SKETCH_FRACTION * (1 + _OVERSAMPLE) > min(m.shape):
         return None  # no room for even a rank-1 sketch
-    if not all(np.all(np.isfinite(b)) for b in _column_blocks(m)):
-        raise ValueError("matrix contains non-finite entries")
     exact = None
     if isinstance(policy, OptimalHardThreshold):
         shape, g = m.shape, _short_side_gram(m)
@@ -686,17 +684,14 @@ def _blocked_svd(a: np.ndarray, policy: TruncationPolicy):
     ``a`` is not wide (:func:`_is_wide`) or its leading singular value is
     zero.  a^H = Q R, so the rows x rows factor R^H = U S W^H holds every
     singular value and the left vectors of a.  R comes from a running QR of
-    the blocks of a^H, each checked for non-finite entries first; the
-    trial rank under ``policy`` takes the kept columns of U, and
-    :func:`_ritz_triplets` forms the triplets from them.  Only rows x rows
-    arrays stay resident next to ``a`` until then.
+    the blocks of a^H; the trial rank under ``policy`` takes the kept
+    columns of U, and :func:`_ritz_triplets` forms the triplets from them.
+    Only rows x rows arrays stay resident next to ``a`` until then.
     """
     if not _is_wide(a.shape):
         return None
     r = np.zeros((0, a.shape[0]), dtype=np.result_type(a.dtype, np.float32))
     for b in _column_blocks(a):
-        if not np.all(np.isfinite(b)):
-            raise ValueError("matrix contains non-finite entries")
         r = np.linalg.qr(np.vstack([r, b.conj().T]), mode="r")
     ur, values, _ = np.linalg.svd(r.conj().T)
     if values[0] == 0:
@@ -734,6 +729,14 @@ def _truncated_svd(a, policy: TruncationPolicy):
     return r, u[:, :r], s[:r], v[:, :r]
 
 
+def _check_samples(data: np.ndarray) -> None:
+    """Reject a NaN or inf sample, or all-zero data; the SVD paths scan no entries."""
+    if not np.all(np.isfinite(data)):
+        raise DegenerateInputError("snapshot data contains non-finite samples")
+    if not np.any(data):
+        raise DegenerateInputError("all-zero snapshot matrix")
+
+
 def dmd(x: SnapshotMatrix, policy: TruncationPolicy) -> Decomposition:
     """Classical dynamic mode decomposition of a snapshot matrix.
 
@@ -741,13 +744,13 @@ def dmd(x: SnapshotMatrix, policy: TruncationPolicy) -> Decomposition:
     subspace under ``policy``; the one-step propagator is fitted there in
     least squares and eigendecomposed.  Fails by design when the temporal
     complexity (number of exponential terms) exceeds the spatial dimension;
-    use :func:`hodmd` for that regime.
+    use :func:`hodmd` for that regime.  Data with a non-finite sample or
+    only zeros raises ``DegenerateInputError``.
     """
+    data = x.data
+    _check_samples(data)
     if x.n_snapshots < 3:
         raise ValueError("need at least 3 snapshots")
-    data = x.data
-    if not np.any(data):
-        raise DegenerateInputError("all-zero snapshot matrix")
     x1, x2 = data[:, :-1], data[:, 1:]
     r, u, _, _ = _truncated_svd(x1, policy)
     y1 = u.conj().T @ x1
@@ -776,16 +779,16 @@ def hodmd(x: SnapshotMatrix, cfg: HodmdConfig) -> Decomposition:
     each policy's rank, and when it drops the embedding and builds it
     again, at :func:`_sketched_svd`.  A delay-space rank equal to
     min(shape) at d > 1 emits a ``RuntimeWarning``: every singular value
-    was kept.
+    was kept.  Data with a non-finite sample or only zeros raises
+    ``DegenerateInputError`` before any other check.
     """
     data = x.data
+    _check_samples(data)
     m, k = data.shape
     if not math.isclose(x.dt, cfg.dt, rel_tol=1e-12, abs_tol=0.0):
         raise ValueError(f"dt mismatch: snapshots {x.dt}, config {cfg.dt}")
     if k <= 2 * cfg.d:
         raise SizingError(f"need K > 2*d snapshots: K={k}, d={cfg.d}")
-    if not np.any(data):
-        raise DegenerateInputError("all-zero snapshot matrix")
 
     # 1. spatial reduction, skipped for one or two channels
     if m > 2:

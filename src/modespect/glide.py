@@ -66,21 +66,18 @@ def _decompose_window(
     data: np.ndarray, dt: float, cfg: HodmdConfig, start: int, start_time: float
 ) -> ModeTrack:
     """One window's track; bad samples or a failed factorization mark it failed."""
-    if np.all(np.isfinite(data)):
-        try:
-            dec = hodmd(SnapshotMatrix(np.atleast_2d(data), dt), cfg)
-            errors = (dec.relative_rms, dec.relative_max)
-            return ModeTrack(
-                start,
-                start_time,
-                dec.modes,
-                errors,
-                amplitude_condition=dec.amplitude_condition,
-                amplitude_rank=dec.amplitude_rank,
-            )
-        except (DegenerateInputError, np.linalg.LinAlgError):
-            pass
-    return ModeTrack(start, start_time, (), (math.nan, math.nan), failed=True)
+    try:
+        dec = hodmd(SnapshotMatrix(np.atleast_2d(data), dt), cfg)
+    except (DegenerateInputError, np.linalg.LinAlgError):
+        return ModeTrack(start, start_time, (), (math.nan, math.nan), failed=True)
+    return ModeTrack(
+        start,
+        start_time,
+        dec.modes,
+        (dec.relative_rms, dec.relative_max),
+        amplitude_condition=dec.amplitude_condition,
+        amplitude_rank=dec.amplitude_rank,
+    )
 
 
 def gliding_hodmd(ts: TimeSeries, cfg: GlideConfig) -> list[ModeTrack]:

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from modespect import cli
 from modespect.cli import _summary, main
 from modespect.decompose import Decomposition, HodmdConfig
 from modespect.fileio import read_modes, read_spectrum, read_timeseries, read_tracks
 
 FS = 25_000.0
+NAN_INDEX = 2000
 
 
 def run(*argv) -> int:
@@ -26,6 +28,17 @@ def case1_file(tmp_path):
 def case2_file(tmp_path):
     path = tmp_path / "case2.csv"
     assert run("synth", "--preset", "paper-case-2", "--n", "8192", "--out", str(path)) == 0
+    return path
+
+
+@pytest.fixture()
+def nan_file(tmp_path):
+    """4,096 paper-case-2 samples, sample NAN_INDEX replaced by 'nan'."""
+    path = tmp_path / "nan.csv"
+    assert run("synth", "--preset", "paper-case-2", "--n", "4096", "--out", str(path)) == 0
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1 + NAN_INDEX] = "nan\n"  # line 0 is the header
+    path.write_text("".join(lines))
     return path
 
 
@@ -139,6 +152,16 @@ class TestDecompose:
             "--out-modes", str(tmp_path / "m.csv"),
         )
         assert code == 4
+
+    def test_non_finite_sample_exit_4(self, tmp_path, capsys, nan_file):
+        modes_csv, summary_json = tmp_path / "m.csv", tmp_path / "s.json"
+        code = run(
+            "decompose", "--in", str(nan_file), "--d", "10",
+            "--out-modes", str(modes_csv), "--out-summary", str(summary_json),
+        )
+        assert code == 4
+        assert "non-finite" in capsys.readouterr().err
+        assert not modes_csv.exists() and not summary_json.exists()
 
     def test_sizing_violation_exit_3(self, tmp_path, case1_file):
         code = run(
@@ -432,6 +455,45 @@ class TestGlide:
         )
         assert code == 2
 
+    def test_pooled_target_without_pool_exit_2(self, tmp_path, capsys):
+        sig = tmp_path / "sig.csv"
+        run("synth", "--component", "1 800 0", "--n", "2048", "--out", str(sig))
+        tracks_csv, pooled_csv = tmp_path / "t.csv", tmp_path / "p.csv"
+        code = run(
+            "glide", "--in", str(sig), "--window-len", "512", "--d", "8",
+            "--out-tracks", str(tracks_csv), "--out-pooled", str(pooled_csv),
+        )
+        assert code == 2
+        assert "--out-pooled requires --pool" in capsys.readouterr().err
+        assert not tracks_csv.exists() and not pooled_csv.exists()
+
+    @pytest.mark.parametrize("floor", ["-1", "nan"])
+    def test_bad_floor_exit_2_before_sweep(self, tmp_path, monkeypatch, floor):
+        sig = tmp_path / "sig.csv"
+        run("synth", "--component", "1 800 0", "--n", "2048", "--out", str(sig))
+        monkeypatch.setattr(cli, "gliding_hodmd", None)  # the sweep never starts
+        tracks_csv, pooled_csv = tmp_path / "t.csv", tmp_path / "p.csv"
+        code = run(
+            "glide", "--in", str(sig), "--window-len", "512", "--d", "8",
+            "--out-tracks", str(tracks_csv),
+            "--pool", "--floor", floor, "--out-pooled", str(pooled_csv),
+        )
+        assert code == 2
+        assert not tracks_csv.exists() and not pooled_csv.exists()
+
+    def test_nan_sample_drops_only_its_windows(self, tmp_path, nan_file):
+        tracks_csv = tmp_path / "tracks.csv"
+        code = run(
+            "glide", "--in", str(nan_file), "--window-len", "512", "--hop", "256",
+            "--d", "8", "--out-tracks", str(tracks_csv),
+        )
+        assert code == 0
+        rows, _ = read_tracks(tracks_csv)
+        starts = set(range(0, 4096 - 512 + 1, 256))
+        nan_windows = {s for s in starts if s <= NAN_INDEX < s + 512}
+        assert nan_windows == {1536, 1792}
+        assert {row["window_start_index"] for row in rows} == starts - nan_windows
+
     def test_window_sizing_exit_3(self, tmp_path):
         sig = tmp_path / "sig.csv"
         run("synth", "--component", "1 800 0", "--n", "2048", "--out", str(sig))
@@ -485,6 +547,29 @@ class TestCompare:
         assert "mode_errors_hz" not in report
         assert "fft_peak_errors_hz" not in report
         assert report["outputs"]["modes_csv"].endswith("modes.csv")
+
+
+    def test_non_finite_sample_exit_4(self, tmp_path, capsys, nan_file):
+        out_dir = tmp_path / "nan_report"
+        code = run(
+            "compare", "--in", str(nan_file), "--d", "10",
+            "--kernel", "gaussian", "--h", "0.5", "--out-dir", str(out_dir),
+        )
+        assert code == 4
+        assert "non-finite" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_negative_peak_prominence_exit_2_before_decomposition(
+        self, tmp_path, case1_file
+    ):
+        out_dir = tmp_path / "report"
+        code = run(
+            "compare", "--in", str(case1_file), "--d", "10",
+            "--kernel", "gaussian", "--h", "0.5", "--truth", "2000",
+            "--peak-prominence", "-1", "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        assert not out_dir.exists()
 
 
 class TestDeterminism:

@@ -29,6 +29,7 @@ from modespect import (
     reconstruct,
     synth_decaying_sum,
 )
+from modespect import decompose
 from modespect.decompose import _fit_b, _merge_duplicates, _power_table
 
 from conftest import head, peak_amplitude
@@ -504,13 +505,38 @@ class TestHodmd:
 
     @pytest.mark.parametrize("d", [10, 30, 200])
     def test_non_finite_sample_rejected(self, case2_full, d):
-        # d = 10 and 30 give delay matrices too small to sketch, which the
-        # blocked SVD reduces; d = 200 is checked by the sketch
+        # without the entry check, d = 10 and 30 would reach the blocked SVD
+        # and d = 200 the sketch
         samples = head(case2_full, 8192).samples.copy()
         samples[4000] = math.nan
         snap = SnapshotMatrix(samples[None, :], DT)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(DegenerateInputError, match="non-finite"):
             hodmd(snap, HodmdConfig(d=d, dt=DT))
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, None], ids=["nan", "inf", "zeros"]
+    )
+    @pytest.mark.parametrize("fit", ["hodmd", "dmd"])
+    def test_bad_samples_rejected_before_any_svd(self, monkeypatch, bad, fit):
+        calls = []
+        monkeypatch.setattr(decompose, "_truncated_svd", lambda *a: calls.append(a))
+        data = np.zeros((3, 20))
+        if bad is not None:
+            data[:] = 1.0
+            data[1, 1] = bad
+
+        def decompose_head(k, dt):
+            snap = SnapshotMatrix(data[:, :k], DT)
+            if fit == "hodmd":
+                return hodmd(snap, HodmdConfig(d=4, dt=dt))
+            return dmd(snap, Tolerance(1e-10))
+
+        # 20 snapshots would reach the SVDs; two with a mismatched dt would
+        # fail the dt and sizing checks, which come after this one
+        for k, dt in ((20, DT), (2, 2 * DT)):
+            with pytest.raises(DegenerateInputError):
+                decompose_head(k, dt)
+        assert calls == []
 
     def test_complex_input_supported(self):
         # two complex exponentials on one channel: modes stay unpaired

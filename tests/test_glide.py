@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,7 +130,9 @@ class TestGlidingHodmd:
         samples = ts.samples.copy()
         samples[1000] = np.nan
         cfg = GlideConfig(window_len=512, hodmd=small_cfg(), hop=512)
-        tracks = gliding_hodmd(TimeSeries(samples, ts.dt), cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tracks = gliding_hodmd(TimeSeries(samples, ts.dt), cfg)
         assert [t.failed for t in tracks] == [i == 1 for i in range(8)]
         assert tracks[1].modes == ()
         assert all(t.modes for i, t in enumerate(tracks) if i != 1)
