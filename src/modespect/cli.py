@@ -44,7 +44,7 @@ from .fourier import WelchConfig, default_welch_config, periodogram, welch
 from .glide import GlideConfig, gliding_hodmd, pool_modes
 from .kds import KdsConfig, find_peaks, kds_gaussian, kds_lorentz
 from .presets import PRESET_FS, PRESET_N, PRESET_NAMES, preset_components
-from .signals import add_gaussian_noise, synth_decaying_sum
+from .signals import TimeSeries, add_gaussian_noise, synth_decaying_sum
 
 __all__ = ["main", "entrypoint"]
 
@@ -148,15 +148,18 @@ def _summary(dec) -> dict:
     """Ranks, reconstruction errors and the amplitude fit's condition and rank,
     shared by the decompose and compare reports.
 
-    A non-finite condition (a singular fit) is written as null, since JSON
-    has no infinity.
+    A non-finite error or condition (a singular fit) is written as null,
+    since JSON has no infinity or NaN.
     """
-    cond = dec.amplitude_condition
+
+    def finite(x: float) -> float | None:
+        return x if math.isfinite(x) else None
+
     return {
         "ranks": dict(zip(("spatial", "temporal", "modes"), dec.ranks)),
-        "relative_rms": dec.relative_rms,
-        "relative_max": dec.relative_max,
-        "amplitude_condition": cond if math.isfinite(cond) else None,
+        "relative_rms": finite(dec.relative_rms),
+        "relative_max": finite(dec.relative_max),
+        "amplitude_condition": finite(dec.amplitude_condition),
         "amplitude_rank": dec.amplitude_rank,
     }
 
@@ -167,6 +170,7 @@ def _cmd_synth(args, cfg: RunConfig) -> int:
     n = pick(args.n, cfg, "synth", "n", int, None)
     sigma = pick(args.noise_sigma, cfg, "synth", "noise_sigma", float, 0.0)
     seed = pick(args.seed, cfg, "synth", "seed", int, 0)
+    add_gaussian_noise(TimeSeries(np.zeros(1), 1.0), sigma, seed)  # checks sigma first
     fs = fs if fs is not None else PRESET_FS
     n = n if n is not None else PRESET_N
     if preset is not None:
@@ -268,7 +272,7 @@ def _cmd_compare(args, cfg: RunConfig) -> int:
     truths = (
         [float(v) for v in truth_text.split(",")] if truth_text is not None else None
     )
-    if truths is not None and args.peak_prominence < 0:
+    if truths is not None and not (args.peak_prominence >= 0):
         raise ConfigError(f"--peak-prominence must be >= 0, got {args.peak_prominence}")
     ts = fileio.read_timeseries(args.infile)
     hodmd_cfg = _build_hodmd_config(args, cfg, ts.dt)

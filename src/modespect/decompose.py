@@ -582,13 +582,10 @@ def _sketched_svd(a, policy: TruncationPolicy):
     triplets, of which the kept ones have converged.
 
     ``OptimalHardThreshold`` takes every singular value as the square root
-    of an eigenvalue of the short-side Gram matrix (:func:`_gram_values`).
-    Their error bars must prove the SVD's rank, else one values-only SVD
-    gives them, as it does for a clean record whose noise floor lies below
-    sqrt(eps) * sigma_1; a wide matrix (:func:`_is_wide`) returns None
-    instead, since :func:`_blocked_svd` finds the same values on its way to
-    the triplets.  The iteration stops once the kept Ritz values match them
-    to _RITZ_RTOL.  Given a builder, the matrix is dropped while
+    of an eigenvalue of the short-side Gram matrix (:func:`_gram_values`),
+    or returns None if their error bars cannot prove the SVD's rank, as on
+    a clean record.  The iteration stops once the kept Ritz values match
+    them to _RITZ_RTOL.  Given a builder, the matrix is dropped while
     ``eigvalsh`` runs and built again after it, so it is never resident
     next to the Gram and LAPACK's copy of it.
 
@@ -620,13 +617,9 @@ def _sketched_svd(a, policy: TruncationPolicy):
         del m
         exact = _gram_values(g, shape)
         del g
-        if exact is None and _is_wide(shape):
-            return None  # the blocked SVD gives the values and the triplets
-        m = build()
-        if exact is None:
-            exact = np.linalg.svd(m, compute_uv=False)
-        if exact[0] == 0:
+        if exact is None or exact[0] == 0:
             return None
+        m = build()
         rank = linalg.truncation_rank(exact, policy, shape)
         width = rank + _OVERSAMPLE
     elif isinstance(policy, FixedCount):
@@ -671,24 +664,18 @@ def _ritz_triplets(a: np.ndarray, q: np.ndarray):
     return q @ ub, s, z @ vbh.conj().T
 
 
-def _is_wide(shape: tuple[int, int]) -> bool:
-    """Whether a matrix of ``shape`` goes to :func:`_blocked_svd`: fewer
-    rows than columns, and more than one _BLOCK of columns."""
-    return shape[0] < shape[1] > _BLOCK
-
-
 def _blocked_svd(a: np.ndarray, policy: TruncationPolicy):
     """Every singular value and the kept triplets of a wide matrix, or None.
 
     Returns (values, u, s, v) as :func:`_sketched_svd` does, or None when
-    ``a`` is not wide (:func:`_is_wide`) or its leading singular value is
-    zero.  a^H = Q R, so the rows x rows factor R^H = U S W^H holds every
+    ``a`` is not wide (rows < columns > _BLOCK) or its leading singular value
+    is zero.  a^H = Q R, so the rows x rows factor R^H = U S W^H holds every
     singular value and the left vectors of a.  R comes from a running QR of
     the blocks of a^H; the trial rank under ``policy`` takes the kept
     columns of U, and :func:`_ritz_triplets` forms the triplets from them.
     Only rows x rows arrays stay resident next to ``a`` until then.
     """
-    if not _is_wide(a.shape):
+    if not a.shape[0] < a.shape[1] > _BLOCK:
         return None
     r = np.zeros((0, a.shape[0]), dtype=np.result_type(a.dtype, np.float32))
     for b in _column_blocks(a):
@@ -705,12 +692,13 @@ def _truncated_svd(a, policy: TruncationPolicy):
 
     ``a`` is the matrix, or a function that builds it (see
     :func:`_sketched_svd`).  ``a ~= u @ diag(s) @ v^H`` over the kept
-    triplets.  Subspace iteration finds them where it can.  Otherwise a
-    wide matrix of more than one column block gets every singular value
-    from one blocked QR pass (:func:`_blocked_svd`), and every other shape
-    the dense economy SVD, so the 500 x 525 matrix of a saturated segment
-    gets the dense result exactly.  Each way one ``truncation_rank`` call
-    on the matrix's shape decides the rank.
+    triplets.  Subspace iteration finds them where it can.  Otherwise, as
+    for an uncertified optimal-threshold Gram, a wide matrix of more than
+    one column block gets every singular value from one blocked QR pass
+    (:func:`_blocked_svd`), and every other shape the dense economy SVD, so
+    the 500 x 525 matrix of a saturated segment gets the dense result
+    exactly.  Each way one ``truncation_rank`` call on the matrix's shape
+    decides the rank.
     """
     found = _sketched_svd(a, policy)
     if found is None:
@@ -779,8 +767,9 @@ def hodmd(x: SnapshotMatrix, cfg: HodmdConfig) -> Decomposition:
     each policy's rank, and when it drops the embedding and builds it
     again, at :func:`_sketched_svd`.  A delay-space rank equal to
     min(shape) at d > 1 emits a ``RuntimeWarning``: every singular value
-    was kept.  Data with a non-finite sample or only zeros raises
-    ``DegenerateInputError`` before any other check.
+    was kept.  The propagator is fitted over the kept triplets above
+    eps * max(shape) * sigma_1.  Data with a non-finite sample or only zeros
+    raises ``DegenerateInputError`` before any other check.
     """
     data = x.data
     _check_samples(data)
@@ -804,7 +793,6 @@ def hodmd(x: SnapshotMatrix, cfg: HodmdConfig) -> Decomposition:
     n_temp, ubar, s, v = _truncated_svd(
         lambda: build_delay_embedding(reduced, cfg.d), cfg.temporal_policy
     )
-    xbar = s[:, None] * v.conj().T
     full = min(ubar.shape[0], v.shape[0])
     if cfg.d > 1 and n_temp == full:
         # at d = 1 the embedding is the reduced snapshot matrix: full rank anyway
@@ -816,7 +804,10 @@ def hodmd(x: SnapshotMatrix, cfg: HodmdConfig) -> Decomposition:
             stacklevel=2,
         )
 
-    # 3. propagator on the doubly reduced coordinates
+    # 3. propagator on the doubly reduced coordinates, over the triplets
+    # above rounding level: lstsq cuts the rest too, but not from ubar
+    above = np.count_nonzero(s > np.finfo(float).eps * max(len(ubar), len(v)) * s[0])
+    ubar, xbar = ubar[:, :above], s[:above, None] * v[:, :above].conj().T
     propagator = lstsq(xbar[:, :-1].T, xbar[:, 1:].T).T
     lam, w = eig(propagator)
     lifted = ubar @ w

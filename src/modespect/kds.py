@@ -271,7 +271,7 @@ def find_peaks(spec: Spectrum, min_prominence: float) -> list[tuple[float, float
     """
     if spec.values.size == 0:
         raise ValueError("spectrum is empty")
-    if min_prominence < 0:
+    if not (min_prominence >= 0):
         raise ValueError("min_prominence must be >= 0")
     left, right = np.array(_local_maxima(spec.values), dtype=int).reshape(-1, 2).T
     keep = _prominences(spec.values, left, right) >= min_prominence

@@ -132,14 +132,17 @@ def _as_array(x: TimeSeries | np.ndarray) -> np.ndarray:
 def relative_rms_error(
     reference: TimeSeries | np.ndarray, candidate: TimeSeries | np.ndarray
 ) -> float:
-    """l2 norm of (reference - candidate) over the l2 norm of reference."""
+    """l2 norm of (reference - candidate) over the l2 norm of reference, both
+    first divided by a power of two near its peak, so no square overflows."""
     ref, cand = _as_array(reference), _as_array(candidate)
     if ref.shape != cand.shape:
         raise ValueError(f"shape mismatch: {ref.shape} vs {cand.shape}")
-    denom = float(np.linalg.norm(ref.ravel()))
-    if denom == 0:
+    peak = float(np.max(np.abs(ref)))
+    if peak == 0:
         raise ValueError("reference signal has zero norm")
-    return float(np.linalg.norm((ref - cand).ravel()) / denom)
+    scale = 2.0 ** (math.frexp(peak)[1] - 1)
+    ref, cand = ref / scale, cand / scale
+    return float(np.linalg.norm((ref - cand).ravel()) / np.linalg.norm(ref.ravel()))
 
 
 def relative_max_error(

@@ -8,6 +8,8 @@ from modespect import cli
 from modespect.cli import _summary, main
 from modespect.decompose import Decomposition, HodmdConfig
 from modespect.fileio import read_modes, read_spectrum, read_timeseries, read_tracks
+from modespect.fileio import write_timeseries
+from modespect.signals import TimeSeries
 
 FS = 25_000.0
 NAN_INDEX = 2000
@@ -64,6 +66,21 @@ class TestSynth:
         assert run(*args, "--out", str(a)) == 0
         assert run(*args, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_bad_noise_sigma_exit_2_before_synthesis(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+
+        monkeypatch.setattr(cli, "synth_decaying_sum", spy)
+        out = tmp_path / "sig.csv"
+        code = run(
+            "synth", "--preset", "paper-case-2", "--n", "4000000",
+            "--noise-sigma", "-1", "--out", str(out),
+        )
+        assert code == 2
+        assert calls == [] and not out.exists()
 
     def test_inline_components(self, tmp_path):
         out = tmp_path / "inline.csv"
@@ -143,6 +160,25 @@ class TestDecompose:
         summary = json.loads(json.dumps(_summary(dec), allow_nan=False))
         assert summary["amplitude_condition"] is None
         assert summary["amplitude_rank"] == 1
+
+    def test_huge_record_summary_is_finite_json(self, tmp_path):
+        # squaring samples near 1e306 overflows; the summary once held NaN
+        sig = tmp_path / "huge.csv"
+        run("synth", "--preset", "paper-case-2", "--n", "4096", "--out", str(sig))
+        ts = read_timeseries(sig)
+        write_timeseries(sig, TimeSeries(ts.samples * 1e306, ts.dt))
+        modes_csv, summary_json = tmp_path / "m.csv", tmp_path / "s.json"
+        code = run(
+            "decompose", "--in", str(sig), "--d", "10",
+            "--out-modes", str(modes_csv), "--out-summary", str(summary_json),
+        )
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"summary holds {name}")
+
+        summary = json.loads(summary_json.read_text(), parse_constant=reject)
+        assert summary["relative_rms"] < 1e-9
 
     def test_all_zero_input_exit_4(self, tmp_path):
         zero = tmp_path / "zero.csv"
@@ -567,6 +603,19 @@ class TestCompare:
             "compare", "--in", str(case1_file), "--d", "10",
             "--kernel", "gaussian", "--h", "0.5", "--truth", "2000",
             "--peak-prominence", "-1", "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        assert not out_dir.exists()
+
+    def test_nan_peak_prominence_exit_2_before_decomposition(
+        self, tmp_path, monkeypatch, case1_file
+    ):
+        monkeypatch.setattr(cli, "hodmd", None)  # the decomposition never starts
+        out_dir = tmp_path / "report"
+        code = run(
+            "compare", "--in", str(case1_file), "--d", "10",
+            "--kernel", "gaussian", "--h", "0.5", "--truth", "2000",
+            "--peak-prominence", "nan", "--out-dir", str(out_dir),
         )
         assert code == 2
         assert not out_dir.exists()

@@ -360,6 +360,17 @@ class TestHodmd:
         ranks = dec.ranks
         assert ranks[1] == 6 and ranks[2] == 3
 
+    def test_clean_optimal_window_reconstructs(self, case2_full):
+        # the optimal threshold keeps 84 triplets of this clean window, most
+        # at rounding level; fitted over all of them, the 14 reported modes
+        # reconstructed nothing (relative rms 1.0, amplitude cond ~1e15)
+        ts = TimeSeries(case2_full.samples[28224 : 28224 + 1024], DT)
+        optimal = OptimalHardThreshold()
+        cfg = HodmdConfig(d=500, dt=DT, spatial_policy=optimal, temporal_policy=optimal)
+        dec = hodmd(build_snapshots(ts), cfg)
+        assert dec.ranks[1] == 84
+        assert dec.relative_rms < 1e-9
+
     def test_case1_complex_amplitude_magnitude(self, case1_full):
         # the reported (conjugate-doubled) amplitude of the single mode is 1
         ts = head(case1_full, 4096)

@@ -2,9 +2,9 @@
 
 Under ``OptimalHardThreshold``, ``decompose._sketched_svd`` takes every
 singular value as sqrt(eigvalsh(G)) when the eigenvalues' error bars prove
-the SVD's rank, and from a values-only SVD otherwise.  The references are
-the full singular values and the dense path (``_sketched_svd`` patched to
-return None).
+the SVD's rank, and otherwise returns None, leaving the matrix to the
+blocked or the dense SVD.  The references are the full singular values and
+the dense path (``_sketched_svd`` patched to return None).
 """
 
 import tracemalloc
@@ -61,26 +61,32 @@ def glide_replica():
     return add_gaussian_noise(clean, 0.01 * peak_amplitude(clean), seed=42)
 
 
-def test_clean_record_takes_values_only_svd(monkeypatch, certified, case2_full):
+def test_uncertified_clean_record_takes_dense_svd(monkeypatch, certified, case2_full):
     # rounding noise lies below sqrt(eps) * sigma_1: the Gram cannot place the
-    # median, so one values-only SVD gives the values, as before
+    # median, so the 500 x 525 delay matrix goes straight to the dense SVD,
+    # with no values-only SVD or subspace iteration before it
     ts = head(case2_full, 1024)
     snap = build_snapshots(ts)
     cfg = HodmdConfig(d=500, dt=ts.dt, temporal_policy=OPTIMAL)
     with monkeypatch.context() as mp:
         mp.setattr(decompose, "_sketched_svd", lambda a, policy: None)
         ref = hodmd(snap, cfg)
-    calls = []
-    svd = np.linalg.svd
+    calls, dense = [], []
+    svd, svd_econ = np.linalg.svd, decompose.svd_econ
 
     def spy(a, *args, **kwargs):
         calls.append(kwargs.get("compute_uv", True))
         return svd(a, *args, **kwargs)
 
+    def econ_spy(m):
+        dense.append(m.shape)
+        return svd_econ(m)
+
     monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setattr(decompose, "svd_econ", econ_spy)
     fast = hodmd(snap, cfg)
     assert certified == [False]
-    assert calls.count(False) == 1
+    assert False not in calls and dense == [(500, 525)]
     assert fast.ranks == ref.ranks
     fa = sorted(m.frequency_hz for m in fast.modes)
     fb = sorted(m.frequency_hz for m in ref.modes)

@@ -327,6 +327,12 @@ class TestFindPeaks:
         with pytest.raises(ValueError):
             find_peaks(spec, -0.1)
 
+    def test_nan_prominence_rejected(self):
+        # every comparison with nan is false, so "< 0" would let it through
+        spec = Spectrum(np.arange(3.0), np.array([0.0, 1.0, 0.0]), {})
+        with pytest.raises(ValueError):
+            find_peaks(spec, math.nan)
+
 
 def plateau_peaks_brute_force(v):
     """Every (l, r) with one value on v[l..r], strictly lower at l-1 and r+1."""
