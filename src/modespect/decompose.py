@@ -69,6 +69,10 @@ _SKETCH_FRACTION = 4
 _BLOCK = 4096
 # rows per block of the short-side Gram matrix
 _GRAM_BLOCK = 128
+# 1 - |c|^2 at or below which hodmd fits the propagator by lstsq: both fits
+# lose ~eps / gap, and their eigenvalues agree to 1e-10 at a gap of 1e-5 but
+# only to 3e-7 at 1e-9; a kept rank equal to the column count gives ~eps
+_GAP_MIN = 1e-6
 
 
 class SizingError(ValueError):
@@ -177,7 +181,8 @@ class Decomposition:
     ``amplitude_condition`` is the condition estimate of the amplitude fit
     (inf if its design matrix is singular); above 1e12 the fit also warns.
     ``amplitude_rank`` is the rank of that fit's design matrix, which has one
-    column per eigenvalue that reached the fit.
+    column per eigenvalue that reached the fit.  Both describe the design
+    matrix with each column scaled to unit norm.
     """
 
     modes: tuple[Mode, ...]
@@ -282,17 +287,42 @@ def _fit_b(
     """Least-squares complex amplitudes over all snapshots, the fit's condition
     and its rank.
 
-    Minimizes sum_k || x_k - sum_m shape_m * lam_m**k * b_m ||^2.  The
-    condition estimate is the ratio of the design matrix's extreme singular
-    values, and the rank is the one ``lstsq`` found.  An ill-conditioned
-    system also warns with both and is solved in the minimum-norm sense.
+    Minimizes sum_k || x_k - sum_m shape_m * lam_m**k * b_m ||^2 with each
+    design column scaled to unit norm, so a mode whose powers are tiny next
+    to another's stays in the fit; the solution is unscaled afterwards.  The
+    condition estimate is the ratio of the scaled design matrix's extreme
+    singular values, and the rank is the one ``lstsq`` found.  An
+    ill-conditioned system also warns with both and is solved in the
+    minimum-norm sense.  For real data whose complex columns come in exact
+    conjugate pairs, the other columns being real, the fit runs in real
+    arithmetic (:func:`_real_design`) with the same solution and singular
+    values.
     """
     m, k = data.shape
     n = lam.size
     powers = _power_table(lam, k).T  # (k, n)
-    g = (powers[:, None, :] * shapes[None, :, :]).reshape(k * m, n)
-    rhs = data.T.reshape(-1).astype(g.dtype)
-    sol, _, rank, svals = np.linalg.lstsq(g, rhs, rcond=None)
+    if np.iscomplexobj(lam):
+        # a real eigenvalue has real powers; exp(k log lam) leaves rounding
+        # in the imaginary part of a negative one
+        on_axis = lam.imag == 0
+        powers[:, on_axis] = _power_table(lam.real[on_axis], k).T
+    peak = np.abs(powers).max(axis=0)  # >= 1, as lam**0 = 1: the norm cannot overflow
+    scale = peak * np.linalg.norm(powers / peak, axis=0)
+    scale *= np.linalg.norm(shapes, axis=0)
+    scale[scale == 0] = 1.0  # a zero shape keeps its zero column
+    g = (powers[:, None, :] * (shapes / scale)[None, :, :]).reshape(k * m, n)
+    rhs = data.T.reshape(-1)
+    real = None if np.iscomplexobj(data) else _real_design(g, lam)
+    if real is None:
+        sol, _, rank, svals = np.linalg.lstsq(g, rhs.astype(g.dtype), rcond=None)
+    else:
+        a, up, lo, single = real
+        y, _, rank, svals = np.linalg.lstsq(a, rhs, rcond=None)
+        sol = np.empty(n, dtype=complex)
+        sol[up] = (y[: up.size] + 1j * y[up.size : 2 * up.size]) / math.sqrt(2.0)
+        sol[lo] = sol[up].conj()
+        sol[single] = y[2 * up.size :]
+    sol = sol / scale
     smin = svals[-1]
     cond = math.inf if smin == 0 else float(svals[0] / smin)
     if rank < n or cond > _COND_WARN:
@@ -303,6 +333,31 @@ def _fit_b(
             stacklevel=3,
         )
     return sol, cond, int(rank)
+
+
+def _real_design(g: np.ndarray, lam: np.ndarray):
+    """Real design matrix of the same fit, or None: (a, up, lo, single).
+
+    Applies when the columns of eigenvalues above the real axis (``up``)
+    are exactly the conjugates of those below (``lo``, in matching order)
+    and the columns of real eigenvalues (``single``) are real.  Then
+    b_up = (y_re + 1j y_im) / sqrt(2) and b_lo = conj(b_up) turn
+    g_up b_up + g_lo b_lo into sqrt(2) Re(g_up) y_re - sqrt(2) Im(g_up) y_im,
+    a unitary change of unknowns: for real data the least-squares solution
+    and the singular values are those of the complex fit.
+    """
+    side = _pair_sides(lam)
+    up, lo, single = (np.flatnonzero(side == s) for s in (1, -1, 0))
+    if up.size != lo.size:
+        return None
+    up = up[np.lexsort((lam[up].imag, lam[up].real))]
+    lo = lo[np.lexsort((-lam[lo].imag, lam[lo].real))]
+    pairs, rest = g[:, up], g[:, single]
+    if not np.array_equal(pairs, g[:, lo].conj()) or np.any(rest.imag):
+        return None
+    root2 = math.sqrt(2.0)
+    a = np.hstack([root2 * pairs.real, -root2 * pairs.imag, rest.real])
+    return a, up, lo, single
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
@@ -767,9 +822,16 @@ def hodmd(x: SnapshotMatrix, cfg: HodmdConfig) -> Decomposition:
     each policy's rank, and when it drops the embedding and builds it
     again, at :func:`_sketched_svd`.  A delay-space rank equal to
     min(shape) at d > 1 emits a ``RuntimeWarning``: every singular value
-    was kept.  The propagator is fitted over the kept triplets above
-    eps * max(shape) * sigma_1.  Data with a non-finite sample or only zeros
-    raises ``DegenerateInputError`` before any other check.
+    was kept.  The propagator is the least-squares one over the kept
+    triplets above eps * max(shape) * sigma_1, taken in closed form from
+    their right singular vectors v: it is S M S^-1 with M = v[1:]^H v[:-1]
+    (I + c c^H / gap), c = conj(v[-1]) and gap = 1 - |c|^2, so ``eig(M)``
+    gives its eigenvalues and S times M's eigenvectors its own (Schmid 2010,
+    applied to the reduction of Le Clainche & Vega 2017).  A gap at or below
+    _GAP_MIN, as when the kept rank equals the column count, takes ``lstsq``
+    instead.  With one spatial row every shape is that row's basis vector,
+    so only eigenvalues are computed.  Data with a non-finite sample or
+    only zeros raises ``DegenerateInputError`` before any other check.
     """
     data = x.data
     _check_samples(data)
@@ -804,14 +866,26 @@ def hodmd(x: SnapshotMatrix, cfg: HodmdConfig) -> Decomposition:
             stacklevel=2,
         )
 
-    # 3. propagator on the doubly reduced coordinates, over the triplets
-    # above rounding level: lstsq cuts the rest too, but not from ubar
+    # 3. propagator S M S^-1 over the triplets above rounding level: the
+    # leading snapshots' Gram is S (I - c c^H) S, inverted by Sherman-Morrison
     above = np.count_nonzero(s > np.finfo(float).eps * max(len(ubar), len(v)) * s[0])
-    ubar, xbar = ubar[:, :above], s[:above, None] * v[:, :above].conj().T
-    propagator = lstsq(xbar[:, :-1].T, xbar[:, 1:].T).T
-    lam, w = eig(propagator)
-    lifted = ubar @ w
-    shapes = basis @ lifted[:n_spat, :]  # first delay block only
+    ubar, s, v = ubar[:, :above], s[:above], v[:, :above]
+    c = v[-1].conj()
+    gap = 1.0 - np.vdot(c, c).real
+    if gap > _GAP_MIN:
+        core = v[1:].conj().T @ v[:-1]
+        core += np.outer(core @ c, c.conj() / gap)
+    else:
+        xbar = s[:, None] * v.conj().T
+        core = lstsq(xbar[:, :-1].T, xbar[:, 1:].T).T * s / s[:, None]
+    if n_spat == 1:
+        # every shape is basis[:, 0] times a scalar, which normalizing removes
+        lam, _ = eig(core, vectors=False)
+        shapes = np.repeat(basis[:, :1], lam.size, axis=1)
+    else:
+        # the propagator's eigenvectors are S w; shapes are their first delay block
+        lam, w = eig(core)
+        shapes = basis @ ((ubar[:n_spat] * s) @ w)
 
     # 4./5. amplitudes, pruning, reporting, reconstruction errors
     return _assemble(x, shapes, lam, cfg, ranks=(n_spat, n_temp))

@@ -8,7 +8,7 @@ selection rules used by the decomposition pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -162,17 +162,21 @@ def _normalize_eigenvectors(vectors: np.ndarray) -> np.ndarray:
     return v
 
 
-def eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eig(a: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Eigenvalues and unit-norm eigenvectors of a square matrix.
 
     Eigenvector phases are fixed so each column's largest-magnitude entry is
     real positive, making outputs reproducible across LAPACK backends.
-    Convergence failures surface as ``numpy.linalg.LinAlgError``.
+    ``vectors=False`` computes the eigenvalues alone and returns
+    ``(values, None)``.  Convergence failures surface as
+    ``numpy.linalg.LinAlgError``.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
-    values, vectors = np.linalg.eig(a)
-    return values, _normalize_eigenvectors(vectors)
+    if not vectors:
+        return np.linalg.eigvals(a), None
+    values, vecs = np.linalg.eig(a)
+    return values, _normalize_eigenvectors(vecs)

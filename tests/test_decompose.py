@@ -2,6 +2,7 @@ import cmath
 import math
 import platform
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from modespect import (
 )
 from modespect import decompose
 from modespect.decompose import _fit_b, _merge_duplicates, _power_table
+from modespect.linalg import eig as linalg_eig, lstsq
 
 from conftest import head, peak_amplitude
 
@@ -308,6 +310,146 @@ class TestAmplitudeRank:
         ts = synth_decaying_sum(preset_components("paper-case-2"), fs=FS, n=2048)
         dec = hodmd(build_snapshots(ts), HodmdConfig(d=30, dt=ts.dt))
         assert dec.amplitude_rank == dec.ranks[1] == 6
+
+
+class TestScaledAmplitudeFit:
+    def test_steady_mode_beside_a_growing_one(self):
+        # the steady mode's power column is 5e13 times smaller than the
+        # growing mode's; unscaled, the fit cut it out (amplitude ~1e-15)
+        growth = math.log(5e13) / (1023 * DT)
+        comps = [
+            DampedComponent(1.0, 1000.0, -growth),
+            DampedComponent(1.0, 3000.0, 0.0),
+        ]
+        ts = synth_decaying_sum(comps, fs=FS, n=1024)
+        optimal = OptimalHardThreshold()
+        cfg = HodmdConfig(d=200, dt=DT, spatial_policy=optimal, temporal_policy=optimal)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = hodmd(build_snapshots(ts), cfg)
+        steady = [m for m in dec.modes if abs(m.frequency_hz - 3000.0) < 1.0]
+        assert len(steady) == 1 and steady[0].amplitude == pytest.approx(1.0, rel=0.02)
+        assert dec.amplitude_condition < 10 and dec.amplitude_rank == 4
+
+    def test_power_norms_do_not_overflow(self):
+        # |mu|**(k-1) = e**590: the column's squares overflow, its peak does not
+        mu = cmath.exp(590 / 1023 + 0.3j)
+        data = (0.5 * mu ** np.arange(1024))[None, :]
+        b = fit_amplitudes([make_mode(mu, [1.0])], SnapshotMatrix(data, DT))
+        assert b[0] == pytest.approx(0.5, rel=1e-9)
+
+
+def saturated_segment(seed=1):
+    """A noisy 1,024-sample paper-case-2 record (1% of peak), whose delay
+    matrix at d=500 keeps all 500 triplets under Tolerance(1e-10)."""
+    clean = synth_decaying_sum(preset_components("paper-case-2"), fs=FS, n=1024)
+    return build_snapshots(add_gaussian_noise(clean, 0.01 * peak_amplitude(clean), seed))
+
+
+def sorted_eigenvalues(dec):
+    return np.sort_complex(np.array([m.eigenvalue for m in dec.modes]))
+
+
+class TestPropagatorClosedForm:
+    def test_saturated_segment_matches_lstsq(self, monkeypatch):
+        snap = saturated_segment()
+        cfg = HodmdConfig(d=500, dt=DT)
+        with pytest.warns(RuntimeWarning, match="saturated"):
+            closed = hodmd(snap, cfg)
+        monkeypatch.setattr(decompose, "_GAP_MIN", 1.0)  # 1 - |c|^2 <= 1 always
+        with pytest.warns(RuntimeWarning, match="saturated"):
+            fitted = hodmd(snap, cfg)
+        assert closed.ranks == fitted.ranks and closed.ranks[1] == 500
+        a, b = sorted_eigenvalues(closed), sorted_eigenvalues(fitted)
+        assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-12
+
+    def test_square_delay_space_falls_back_to_lstsq(self, monkeypatch):
+        # 160 x 45 delay matrix of full column rank: v is square, |c| = 1
+        rng = np.random.default_rng(0)
+        lam = np.exp((-20.0 + 2j * np.pi * np.array([900.0, 2100.0, 3700.0])) * DT)
+        shapes = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+        data = 2 * np.real(shapes @ _power_table(lam, 64))
+        data += 0.01 * rng.standard_normal((8, 64))
+        calls = []
+        monkeypatch.setattr(
+            decompose, "lstsq", lambda a, b: calls.append(a.shape) or lstsq(a, b)
+        )
+        with pytest.warns(RuntimeWarning, match="saturated at 45/45"):
+            dec = hodmd(SnapshotMatrix(data, DT), HodmdConfig(d=20, dt=DT))
+        assert calls == [(44, 45)]
+        # the figures of eig applied to lstsq's propagator itself
+        assert dec.ranks == (8, 45, 22)
+        assert dec.relative_rms == pytest.approx(0.0019224656140603563, rel=1e-9)
+        assert dec.relative_max == pytest.approx(0.003647826754387222, rel=1e-9)
+        freqs = [m.frequency_hz for m in dec.modes]
+        assert freqs[1:4:2] == pytest.approx([899.995, 2099.963], abs=1e-3)
+
+
+class TestEigenvaluesOnly:
+    @pytest.mark.parametrize("channels, vectors", [(1, False), (4, True)])
+    def test_vectors_only_for_several_rows(self, monkeypatch, channels, vectors):
+        snap = conjugate_pair_signal(
+            [700.0, 2100.0], [5.0, 12.0], n_channels=channels, k=300, dt=DT, seed=3
+        )
+        seen = []
+
+        def spy(a, vectors=True):
+            seen.append(vectors)
+            return linalg_eig(a, vectors=vectors)
+
+        monkeypatch.setattr(decompose, "eig", spy)
+        dec = hodmd(snap, HodmdConfig(d=20, dt=DT))
+        assert seen == [vectors]
+        freqs = sorted(m.frequency_hz for m in dec.modes)
+        assert freqs == pytest.approx([700.0, 2100.0], abs=1e-6)
+        assert dec.relative_rms < 1e-9
+
+
+class TestRealAmplitudeFit:
+    def fit_args(self, monkeypatch, snap, cfg):
+        args = []
+        fit = decompose._fit_b
+        monkeypatch.setattr(decompose, "_fit_b", lambda *a: args.append(a) or fit(*a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            hodmd(snap, cfg)
+        monkeypatch.setattr(decompose, "_fit_b", fit)
+        return args[0]
+
+    def lstsq_dtypes(self, monkeypatch):
+        dtypes = []
+        solve = np.linalg.lstsq
+        def spy(a, b, rcond):
+            dtypes.append(a.dtype)
+            return solve(a, b, rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        return dtypes
+
+    def test_matches_complex_fit_on_saturated_segment(self, monkeypatch):
+        cfg = HodmdConfig(d=500, dt=DT)
+        args = self.fit_args(monkeypatch, saturated_segment(), cfg)
+        dtypes = self.lstsq_dtypes(monkeypatch)
+        b_real, cond_real, rank_real = _fit_b(*args)
+        monkeypatch.setattr(decompose, "_real_design", lambda g, lam: None)
+        b_cplx, cond_cplx, rank_cplx = _fit_b(*args)
+        assert dtypes == [np.float64, np.complex128]
+        assert rank_real == rank_cplx == 500
+        assert cond_real == pytest.approx(cond_cplx, rel=1e-6)
+        np.testing.assert_allclose(b_real, b_cplx, rtol=1e-9)
+
+    def test_complex_data_and_reported_modes_stay_complex(self, monkeypatch):
+        dtypes = self.lstsq_dtypes(monkeypatch)
+        ts = synth_decaying_sum(preset_components("paper-case-2"), fs=FS, n=2048)
+        dec = hodmd(build_snapshots(ts), HodmdConfig(d=30, dt=ts.dt))
+        assert dtypes == [np.float64]
+        # reported modes are the upper members only: no conjugate partners
+        fit_amplitudes(dec.modes, build_snapshots(ts))
+        assert dtypes == [np.float64, np.complex128]
+        snap = SnapshotMatrix(ts.samples[None, :] * (1 + 0.5j), ts.dt)
+        dec = hodmd(snap, HodmdConfig(d=30, dt=ts.dt))
+        assert dtypes == [np.float64, np.complex128, np.complex128]
+        assert not dec.real_input and dec.relative_rms < 1e-9
 
 
 class TestMergeDuplicates:

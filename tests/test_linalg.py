@@ -208,6 +208,14 @@ class TestEig:
             assert pivot.real > 0
             assert abs(pivot.imag) < 1e-12 * abs(pivot)
 
+    def test_values_only(self):
+        a = np.random.default_rng(10).normal(size=(7, 7))
+        values, vectors = eig(a, vectors=False)
+        assert vectors is None
+        np.testing.assert_allclose(np.sort_complex(values), np.sort_complex(eig(a)[0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            eig(np.full((2, 2), np.nan), vectors=False)
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             eig(np.ones((2, 3)))
