@@ -65,7 +65,8 @@ _MAX_PASSES = 40
 # min(shape) / _SKETCH_FRACTION is no cheaper than the dense SVD
 _SKETCH_WIDTH = 16
 _SKETCH_FRACTION = 4
-# columns per block where a sketch avoids long-side temporaries
+# columns per block of a delay matrix, and snapshots per block of the
+# amplitude fit, so neither forms a long-side array
 _BLOCK = 4096
 # rows per block of the short-side Gram matrix
 _GRAM_BLOCK = 128
@@ -258,27 +259,40 @@ def eigenvalue_to_rates(mu: complex, dt: float) -> tuple[float, float]:
     return delta, angle / dt
 
 
-def _power_table(lam: np.ndarray, k: int) -> np.ndarray:
-    """lam_m**j for j = 0 .. k-1 as a (modes, k) array.
+def _power_table(lam: np.ndarray, k: int, start: int = 0) -> np.ndarray:
+    """lam_m**j for j = start .. start+k-1 as a (modes, k) array.
 
     Equal bit for bit, signed zeros included, to ``lam[:, None] **
-    np.arange(k)``, but powers from _CPOW_BINARY up cost one complex log per
-    mode and one exp per element instead of a libm cpow per element.
+    np.arange(start, start + k)``, so a block of rows is the matching
+    columns of the full table; but powers from _CPOW_BINARY up cost one
+    complex log per mode and one exp per element instead of a libm cpow per
+    element.
     """
+    j = np.arange(start, start + k)
     if not np.iscomplexobj(lam):
-        return lam[:, None] ** np.arange(k)
+        return lam[:, None] ** j
     # numpy's npy_cpow takes an integer power |k| < 100 by binary powering
     # and hands larger ones to the C library's cpow, which glibc defines as
     # cexp(k * clog(lam)); the table repeats both rules
     table = np.empty((lam.size, k), dtype=complex)
-    head = min(k, _CPOW_BINARY)
-    np.power(lam[:, None], np.arange(head), out=table[:, :head])
+    head = min(k, max(_CPOW_BINARY - start, 0))
+    np.power(lam[:, None], j[:head], out=table[:, :head])
     tail = table[:, head:]
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.multiply(np.log(lam)[:, None], np.arange(head, k, dtype=complex), out=tail)
+        np.multiply(np.log(lam)[:, None], j[head:].astype(complex), out=tail)
         np.exp(tail, out=tail)
     tail[lam == 0] = 0.0  # npy_cpow gives +0 for a zero base; cexp gives -0
     return table
+
+
+def _column_norms(p: np.ndarray) -> np.ndarray:
+    """2-norm of each column, taken below the column's peak so no square overflows.
+
+    A peak below 1 is taken as 1: such squares cannot overflow, and a
+    decayed mode's tiny or zero peak would overflow the division.
+    """
+    peak = np.maximum(np.abs(p).max(axis=0), 1.0)
+    return peak * np.linalg.norm(p / peak, axis=0)
 
 
 def _fit_b(
@@ -289,39 +303,69 @@ def _fit_b(
 
     Minimizes sum_k || x_k - sum_m shape_m * lam_m**k * b_m ||^2 with each
     design column scaled to unit norm, so a mode whose powers are tiny next
-    to another's stays in the fit; the solution is unscaled afterwards.  The
-    condition estimate is the ratio of the scaled design matrix's extreme
-    singular values, and the rank is the one ``lstsq`` found.  An
-    ill-conditioned system also warns with both and is solved in the
-    minimum-norm sense.  For real data whose complex columns come in exact
-    conjugate pairs, the other columns being real, the fit runs in real
-    arithmetic (:func:`_real_design`) with the same solution and singular
-    values.
+    to another's stays in the fit; the solution is unscaled afterwards.
+    The design matrix is never built whole: [design | rhs] is formed by
+    blocks of _BLOCK snapshots, and a running QR of the rows so far (TSQR)
+    reduces it to its (n+1) x (n+1) R factor once a second block arrives.
+    ``lstsq`` then takes the minimum-norm solution and the rank from that
+    factor, or from the one block itself, with the cut-off gelsd applies to
+    the whole design, eps * max(K * m, n).  The condition estimate is the
+    ratio of the scaled design matrix's extreme singular values.  An
+    ill-conditioned system also warns with both.  For real data whose
+    complex columns come in exact conjugate pairs on every block, the other
+    columns being real, the fit runs in real arithmetic
+    (:func:`_real_design`) with the same solution and singular values.
     """
     m, k = data.shape
     n = lam.size
-    powers = _power_table(lam, k).T  # (k, n)
-    if np.iscomplexobj(lam):
-        # a real eigenvalue has real powers; exp(k log lam) leaves rounding
-        # in the imaginary part of a negative one
-        on_axis = lam.imag == 0
-        powers[:, on_axis] = _power_table(lam.real[on_axis], k).T
-    peak = np.abs(powers).max(axis=0)  # >= 1, as lam**0 = 1: the norm cannot overflow
-    scale = peak * np.linalg.norm(powers / peak, axis=0)
-    scale *= np.linalg.norm(shapes, axis=0)
+    starts = range(0, k, _BLOCK)
+    # a real eigenvalue has real powers; exp(k log lam) leaves rounding in
+    # the imaginary part of a negative one
+    on_axis = lam.imag == 0 if np.iscomplexobj(lam) else None
+
+    def powers(k0: int) -> np.ndarray:
+        p = _power_table(lam, min(_BLOCK, k - k0), k0).T  # (rows, n)
+        if on_axis is not None:
+            p[:, on_axis] = _power_table(lam.real[on_axis], p.shape[0], k0).T
+        return p
+
+    first = powers(0)  # kept: a record of one block takes its powers once
+    norms = np.array([_column_norms(powers(k0) if k0 else first) for k0 in starts])
+    top = norms.max(axis=0)  # >= 1, as lam**0 = 1
+    scale = top * np.linalg.norm(norms / top, axis=0) * np.linalg.norm(shapes, axis=0)
     scale[scale == 0] = 1.0  # a zero shape keeps its zero column
-    g = (powers[:, None, :] * (shapes / scale)[None, :, :]).reshape(k * m, n)
-    rhs = data.T.reshape(-1)
-    real = None if np.iscomplexobj(data) else _real_design(g, lam)
-    if real is None:
-        sol, _, rank, svals = np.linalg.lstsq(g, rhs.astype(g.dtype), rcond=None)
-    else:
-        a, up, lo, single = real
-        y, _, rank, svals = np.linalg.lstsq(a, rhs, rcond=None)
-        sol = np.empty(n, dtype=complex)
-        sol[up] = (y[: up.size] + 1j * y[up.size : 2 * up.size]) / math.sqrt(2.0)
-        sol[lo] = sol[up].conj()
-        sol[single] = y[2 * up.size :]
+    unit = shapes / scale
+
+    def solve(real: bool):
+        """Solution, rank and singular values of the fit, or None if the
+        real design does not apply to a block."""
+        design = rhs = None
+        for k0 in starts:
+            p = powers(k0) if k0 else first
+            g = (p[:, None, :] * unit[None, :, :]).reshape(p.shape[0] * m, n)
+            y = data[:, k0 : k0 + p.shape[0]].T.reshape(-1)
+            a = g
+            if real:
+                found = _real_design(g, lam)
+                if found is None:
+                    return None
+                a, up, lo, single = found
+            if design is not None:
+                stacked = np.vstack([np.column_stack([design, rhs]), np.column_stack([a, y])])
+                r = np.linalg.qr(stacked, mode="r")
+                a, y = r[:, :n], r[:, n]
+            design, rhs = a, y
+        rcond = np.finfo(float).eps * max(k * m, n)
+        sol, _, rank, svals = np.linalg.lstsq(design, rhs.astype(design.dtype), rcond=rcond)
+        if real:
+            y, sol = sol, np.empty(n, dtype=complex)
+            sol[up] = (y[: up.size] + 1j * y[up.size : 2 * up.size]) / math.sqrt(2.0)
+            sol[lo] = sol[up].conj()
+            sol[single] = y[2 * up.size :]
+        return sol, rank, svals
+
+    solved = None if np.iscomplexobj(data) else solve(True)
+    sol, rank, svals = solved or solve(False)
     sol = sol / scale
     smin = svals[-1]
     cond = math.inf if smin == 0 else float(svals[0] / smin)
@@ -378,7 +422,13 @@ def _mode_columns(modes: Sequence[Mode]) -> tuple[np.ndarray, ...]:
 
 
 def fit_amplitudes(modes: Sequence[Mode], x: SnapshotMatrix) -> np.ndarray:
-    """Complex amplitude per mode, fitted against every snapshot of ``x``."""
+    """Complex amplitude per mode, fitted against every snapshot of ``x``.
+
+    Real data is fitted by the model of :func:`reconstruct`, as
+    :class:`Mode` reports it: each non-real mode stands for itself and its
+    conjugate partner, so the partner joins the fit (conjugate eigenvalue
+    and shape) and the mode's amplitude comes back doubled.
+    """
     if len(modes) == 0:
         raise ValueError("mode list is empty")
     *_, lam, _, shapes = _mode_columns(modes)
@@ -386,7 +436,13 @@ def fit_amplitudes(modes: Sequence[Mode], x: SnapshotMatrix) -> np.ndarray:
         raise ValueError(
             f"shape length {shapes.shape[0]} does not match {x.n_channels} channels"
         )
-    return _fit_b(shapes, lam, x.data)[0]
+    if np.iscomplexobj(x.data):
+        return _fit_b(shapes, lam, x.data)[0]
+    pair = np.flatnonzero(_pair_sides(lam))
+    shapes = np.hstack([shapes, shapes[:, pair].conj()])
+    b = _fit_b(shapes, np.concatenate([lam, lam[pair].conj()]), x.data)[0][: lam.size]
+    b[pair] *= 2.0
+    return b
 
 
 def _merge_duplicates(
@@ -570,19 +626,56 @@ def _assemble(
     )
 
 
-def _column_blocks(a: np.ndarray) -> list:
-    """Views of ``a`` by blocks of _BLOCK columns."""
-    return [a[:, c : c + _BLOCK] for c in range(0, a.shape[1], _BLOCK)]
+class _DelayMatrix:
+    """The delay embedding of ``reduced`` at depth ``d``, built only in parts.
+
+    :func:`_column_blocks` builds it by blocks of _BLOCK columns, each a
+    C-contiguous ``build_delay_embedding`` of the snapshots it spans.  A
+    wide one of more than one block is read only that way, except by the
+    dense SVD; :func:`_held` builds any other whole.
+    """
+
+    def __init__(self, reduced: np.ndarray, d: int):
+        self.reduced, self.d = reduced, d
+        self.shape = (d * reduced.shape[0], reduced.shape[1] - d + 1)
+        self.dtype = reduced.dtype
+
+    def block(self, c: int) -> np.ndarray:
+        """Columns c .. c+_BLOCK-1."""
+        # the embedding needs two columns: a last block of one takes the
+        # column before it too, then drops it
+        lo = min(c, self.shape[1] - 2)
+        b = build_delay_embedding(self.reduced[:, lo : c + _BLOCK + self.d - 1], self.d)
+        return b if lo == c else np.ascontiguousarray(b[:, c - lo :])
+
+    def whole(self) -> np.ndarray:
+        return build_delay_embedding(self.reduced, self.d)
 
 
-def _power_pass(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _held(a):
+    """``a`` itself if an array or wide over several column blocks, else built whole."""
+    if isinstance(a, np.ndarray) or a.shape[0] < a.shape[1] > _BLOCK:
+        return a
+    return a.whole()
+
+
+def _column_blocks(a):
+    """Blocks of _BLOCK columns of ``a``: views of an array, or built one at
+    a time from a :class:`_DelayMatrix`."""
+    starts = range(0, a.shape[1], _BLOCK)
+    if isinstance(a, np.ndarray):
+        return [a[:, c : c + _BLOCK] for c in starts]
+    return (a.block(c) for c in starts)
+
+
+def _power_pass(a, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The R factor of a^H q and the product a a^H q, both by column blocks.
 
     Each block's rows of a^H q go into a running QR of the rows so far and
     into the product, then are dropped, so no long-side array is formed.
     The singular values of the R factor are those of q^H a.
     """
-    r = np.zeros((0, q.shape[1]), dtype=np.result_type(a, q))
+    r = np.zeros((0, q.shape[1]), dtype=np.result_type(a.dtype, q.dtype))
     y = 0
     for b in _column_blocks(a):
         c = (q.conj().T @ b).conj().T  # faster than b.conj().T @ q
@@ -591,19 +684,23 @@ def _power_pass(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, y
 
 
-def _short_side_gram(a: np.ndarray) -> np.ndarray:
+def _short_side_gram(a) -> np.ndarray:
     """Lower triangle of conj(b) @ b.T, b = a or a.T, whichever has fewer rows.
 
     That is the conjugate of ``a a^H`` or ``a^H a``, so it has their
-    eigenvalues.  It is formed by _GRAM_BLOCK-row blocks written in place;
-    the strict upper triangle stays zero.
+    eigenvalues.  A wide ``a`` is summed over its column blocks, each in
+    _GRAM_BLOCK-row blocks; the strict upper triangle stays zero.
     """
-    b = a if a.shape[0] <= a.shape[1] else a.T
-    n = b.shape[0]
+    n = min(a.shape)
+    blocks = _column_blocks(a) if a.shape[0] <= a.shape[1] else [_held(a).T]
     g = np.zeros((n, n), dtype=np.result_type(a.dtype, np.float32))
-    for i in range(0, n, _GRAM_BLOCK):
-        j = min(i + _GRAM_BLOCK, n)
-        np.matmul(b[i:j].conj(), b[:j].T, out=g[i:j, :j])
+    for c, b in enumerate(blocks):
+        for i in range(0, n, _GRAM_BLOCK):
+            j = min(i + _GRAM_BLOCK, n)
+            if c == 0:  # in place: a matrix of one block takes no temporary
+                np.matmul(b[i:j].conj(), b[:j].T, out=g[i:j, :j])
+            else:
+                g[i:j, :j] += b[i:j].conj() @ b[:j].T
     return g
 
 
@@ -631,8 +728,8 @@ def _gram_values(g: np.ndarray, shape: tuple[int, int]) -> Optional[np.ndarray]:
 def _sketched_svd(a, policy: TruncationPolicy):
     """Singular values and leading triplets by subspace iteration, or None.
 
-    ``a`` is the matrix, or a function that builds it.  Returns (values, u,
-    s, v): ``values`` has min(shape) entries and gives the same rank under
+    ``a`` is an array or a :class:`_DelayMatrix`.  Returns (values, u, s,
+    v): ``values`` has min(shape) entries and gives the same rank under
     ``policy`` as the full singular values; (u, s, v) are the sketch's Ritz
     triplets, of which the kept ones have converged.
 
@@ -640,9 +737,9 @@ def _sketched_svd(a, policy: TruncationPolicy):
     of an eigenvalue of the short-side Gram matrix (:func:`_gram_values`),
     or returns None if their error bars cannot prove the SVD's rank, as on
     a clean record.  The iteration stops once the kept Ritz values match
-    them to _RITZ_RTOL.  Given a builder, the matrix is dropped while
-    ``eigvalsh`` runs and built again after it, so it is never resident
-    next to the Gram and LAPACK's copy of it.
+    them to _RITZ_RTOL.  A delay matrix is summed into the Gram block by
+    block and built whole (:func:`_held`) only after ``eigvalsh``, so it is
+    never resident next to the Gram and LAPACK's copy of it.
 
     ``Tolerance`` and ``FixedCount`` keep the sketch: squaring the values
     would put a cut-off of 1e-10 * sigma_1 at 1e-20 * sigma_1**2, below the
@@ -662,27 +759,22 @@ def _sketched_svd(a, policy: TruncationPolicy):
     formed, once the iteration has converged.  A sketch given up therefore
     leaves no freed long-side arrays resident under the dense SVD.
     """
-    build = a if callable(a) else lambda: a
-    m = build()
-    if _SKETCH_FRACTION * (1 + _OVERSAMPLE) > min(m.shape):
+    if _SKETCH_FRACTION * (1 + _OVERSAMPLE) > min(a.shape):
         return None  # no room for even a rank-1 sketch
     exact = None
     if isinstance(policy, OptimalHardThreshold):
-        shape, g = m.shape, _short_side_gram(m)
-        del m
-        exact = _gram_values(g, shape)
-        del g
+        exact = _gram_values(_short_side_gram(a), a.shape)
         if exact is None or exact[0] == 0:
             return None
-        m = build()
-        rank = linalg.truncation_rank(exact, policy, shape)
+        rank = linalg.truncation_rank(exact, policy, a.shape)
         width = rank + _OVERSAMPLE
     elif isinstance(policy, FixedCount):
         width = policy.n + _OVERSAMPLE
     else:
         width = _SKETCH_WIDTH
-    if _SKETCH_FRACTION * width > min(m.shape):
+    if _SKETCH_FRACTION * width > min(a.shape):
         return None
+    m = _held(a)
     # the range finder needs no Gaussian start, its stopping test decides
     # accuracy; the standard library draws the signed bytes because
     # importing numpy.random would cost every process ~6 MB of memory
@@ -711,15 +803,20 @@ def _sketched_svd(a, policy: TruncationPolicy):
     return exact, u, s, v
 
 
-def _ritz_triplets(a: np.ndarray, q: np.ndarray):
+def _ritz_triplets(a, q: np.ndarray):
     """Ritz triplets (u, s, v) of ``a`` on the range of the orthonormal q."""
+    qa = np.empty((q.shape[1], a.shape[1]), dtype=np.result_type(a.dtype, q.dtype))
+    c = 0
+    for b in _column_blocks(a):
+        qa[:, c : c + b.shape[1]] = q.conj().T @ b
+        c += b.shape[1]
     # a^H q = z rz, so the Ritz triplets of q^H a come from rz^H alone
-    z, rz = np.linalg.qr((q.conj().T @ a).conj().T)
+    z, rz = np.linalg.qr(qa.conj().T)
     ub, s, vbh = np.linalg.svd(rz.conj().T)
     return q @ ub, s, z @ vbh.conj().T
 
 
-def _blocked_svd(a: np.ndarray, policy: TruncationPolicy):
+def _blocked_svd(a, policy: TruncationPolicy):
     """Every singular value and the kept triplets of a wide matrix, or None.
 
     Returns (values, u, s, v) as :func:`_sketched_svd` does, or None when
@@ -728,7 +825,7 @@ def _blocked_svd(a: np.ndarray, policy: TruncationPolicy):
     singular value and the left vectors of a.  R comes from a running QR of
     the blocks of a^H; the trial rank under ``policy`` takes the kept
     columns of U, and :func:`_ritz_triplets` forms the triplets from them.
-    Only rows x rows arrays stay resident next to ``a`` until then.
+    Only rows x rows arrays and one block stay resident until then.
     """
     if not a.shape[0] < a.shape[1] > _BLOCK:
         return None
@@ -745,21 +842,18 @@ def _blocked_svd(a: np.ndarray, policy: TruncationPolicy):
 def _truncated_svd(a, policy: TruncationPolicy):
     """Rank under ``policy`` and the kept triplets (rank, u, s, v) of ``a``.
 
-    ``a`` is the matrix, or a function that builds it (see
-    :func:`_sketched_svd`).  ``a ~= u @ diag(s) @ v^H`` over the kept
-    triplets.  Subspace iteration finds them where it can.  Otherwise, as
-    for an uncertified optimal-threshold Gram, a wide matrix of more than
-    one column block gets every singular value from one blocked QR pass
-    (:func:`_blocked_svd`), and every other shape the dense economy SVD, so
-    the 500 x 525 matrix of a saturated segment gets the dense result
-    exactly.  Each way one ``truncation_rank`` call on the matrix's shape
-    decides the rank.
+    ``a`` is an array or a :class:`_DelayMatrix`.  ``a ~= u @ diag(s) @
+    v^H`` over the kept triplets.  Subspace iteration finds them where it
+    can.  Otherwise, as for an uncertified optimal-threshold Gram, a wide
+    matrix of more than one column block gets every singular value from one
+    blocked QR pass (:func:`_blocked_svd`), and every other shape the dense
+    economy SVD of the matrix built whole, so the 500 x 525 matrix of a
+    saturated segment gets the dense result exactly.  Each way one
+    ``truncation_rank`` call on the matrix's shape decides the rank.
     """
-    found = _sketched_svd(a, policy)
+    found = _sketched_svd(a, policy) or _blocked_svd(a, policy)
     if found is None:
-        m = a() if callable(a) else a
-        found = _blocked_svd(m, policy)
-    if found is None:
+        m = a if isinstance(a, np.ndarray) else a.whole()
         sv = svd_econ(m)
         s = sv.singular_values
         if s[0] == 0:
@@ -819,8 +913,12 @@ def hodmd(x: SnapshotMatrix, cfg: HodmdConfig) -> Decomposition:
     the lifted eigenvectors mapped back through the spatial basis.  Both
     reductions compute only the singular triplets they keep; which path
     finds them is told at :func:`_truncated_svd`, and how the sketch finds
-    each policy's rank, and when it drops the embedding and builds it
-    again, at :func:`_sketched_svd`.  A delay-space rank equal to
+    each policy's rank at :func:`_sketched_svd`.  The delay matrix goes to
+    them as a :class:`_DelayMatrix`: a wide one of more than one _BLOCK of
+    columns is built only by column blocks, except for the dense SVD, and
+    the amplitude fit goes by blocks of snapshots (:func:`_fit_b`), so
+    neither grows with K; the reconstruction for the errors still forms a
+    modes x K power table.  A delay-space rank equal to
     min(shape) at d > 1 emits a ``RuntimeWarning``: every singular value
     was kept.  The propagator is the least-squares one over the kept
     triplets above eps * max(shape) * sigma_1, taken in closed form from
@@ -850,10 +948,9 @@ def hodmd(x: SnapshotMatrix, cfg: HodmdConfig) -> Decomposition:
         basis = np.eye(m)
         reduced = data
 
-    # 2. delay embedding of the reduced snapshots, then a second reduction,
-    # which may drop the embedding and build it again to save memory
+    # 2. delay embedding of the reduced snapshots, then a second reduction
     n_temp, ubar, s, v = _truncated_svd(
-        lambda: build_delay_embedding(reduced, cfg.d), cfg.temporal_policy
+        _DelayMatrix(reduced, cfg.d), cfg.temporal_policy
     )
     full = min(ubar.shape[0], v.shape[0])
     if cfg.d > 1 and n_temp == full:

@@ -237,6 +237,16 @@ class TestFitAmplitudes:
         with pytest.raises(ValueError):
             fit_amplitudes([], snap)
 
+    @pytest.mark.parametrize("n, d", [(2048, 30), (512, 100), (256, 60)])
+    def test_reported_modes_reproduce_their_amplitudes(self, n, d):
+        # a real record is fitted by reconstruct's model: each reported
+        # non-real mode stands for its conjugate pair, with doubled amplitude
+        ts = synth_decaying_sum(preset_components("paper-case-2"), fs=FS, n=n)
+        snap = build_snapshots(ts)
+        dec = hodmd(snap, HodmdConfig(d=d, dt=ts.dt))
+        b = fit_amplitudes(dec.modes, snap)
+        np.testing.assert_allclose(b, [m.b for m in dec.modes], rtol=1e-8)
+
     def test_ill_conditioned_warns(self):
         snap = SnapshotMatrix(np.ones((1, 30)), dt=DT)
         modes = [
@@ -280,6 +290,17 @@ class TestPowerTable:
             expected = lam[:, None] ** np.arange(k)
             got = _power_table(lam, k)
         assert_bitwise_equal(got, expected)
+
+    @pytest.mark.parametrize(
+        "start, k", [(0, 4096), (1, 150), (60, 40), (99, 3), (100, 7), (4096, 4096), (8192, 37)]
+    )
+    def test_block_is_the_columns_of_the_full_table(self, start, k):
+        lam = edge_eigenvalues()
+        real = np.array([0.99, -0.5, 1.0, -1.0, 0.0, -0.0, 1e-300, 0.9999])
+        with np.errstate(over="ignore"):
+            for poles in (lam, real):
+                full = _power_table(poles, start + k)
+                assert_bitwise_equal(_power_table(poles, k, start), full[:, start:])
 
     def test_no_temporary_beside_the_table(self):
         lam = edge_eigenvalues()[-40:]
@@ -438,17 +459,18 @@ class TestRealAmplitudeFit:
         assert cond_real == pytest.approx(cond_cplx, rel=1e-6)
         np.testing.assert_allclose(b_real, b_cplx, rtol=1e-9)
 
-    def test_complex_data_and_reported_modes_stay_complex(self, monkeypatch):
+    def test_complex_data_stays_complex_and_reported_modes_fit_real(self, monkeypatch):
         dtypes = self.lstsq_dtypes(monkeypatch)
         ts = synth_decaying_sum(preset_components("paper-case-2"), fs=FS, n=2048)
         dec = hodmd(build_snapshots(ts), HodmdConfig(d=30, dt=ts.dt))
         assert dtypes == [np.float64]
-        # reported modes are the upper members only: no conjugate partners
+        # reported modes are the upper members only; their conjugate
+        # partners join the fit, so it runs in real arithmetic too
         fit_amplitudes(dec.modes, build_snapshots(ts))
-        assert dtypes == [np.float64, np.complex128]
+        assert dtypes == [np.float64, np.float64]
         snap = SnapshotMatrix(ts.samples[None, :] * (1 + 0.5j), ts.dt)
         dec = hodmd(snap, HodmdConfig(d=30, dt=ts.dt))
-        assert dtypes == [np.float64, np.complex128, np.complex128]
+        assert dtypes == [np.float64, np.float64, np.complex128]
         assert not dec.real_input and dec.relative_rms < 1e-9
 
 
