@@ -182,8 +182,9 @@ class Decomposition:
     ``amplitude_condition`` is the condition estimate of the amplitude fit
     (inf if its design matrix is singular); above 1e12 the fit also warns.
     ``amplitude_rank`` is the rank of that fit's design matrix, which has one
-    column per eigenvalue that reached the fit.  Both describe the design
-    matrix with each column scaled to unit norm.
+    column per eigenvalue that reached the fit; for real input, where one
+    eigenvalue stands for each conjugate pair, two real columns per pair.
+    Both describe the design matrix with each column scaled to unit norm.
     """
 
     modes: tuple[Mode, ...]
@@ -304,17 +305,20 @@ def _fit_b(
     Minimizes sum_k || x_k - sum_m shape_m * lam_m**k * b_m ||^2 with each
     design column scaled to unit norm, so a mode whose powers are tiny next
     to another's stays in the fit; the solution is unscaled afterwards.
-    The design matrix is never built whole: [design | rhs] is formed by
-    blocks of _BLOCK snapshots, and a running QR of the rows so far (TSQR)
-    reduces it to its (n+1) x (n+1) R factor once a second block arrives.
-    ``lstsq`` then takes the minimum-norm solution and the rank from that
-    factor, or from the one block itself, with the cut-off gelsd applies to
-    the whole design, eps * max(K * m, n).  The condition estimate is the
-    ratio of the scaled design matrix's extreme singular values.  An
-    ill-conditioned system also warns with both.  For real data whose
-    complex columns come in exact conjugate pairs on every block, the other
-    columns being real, the fit runs in real arithmetic
-    (:func:`_real_design`) with the same solution and singular values.
+    For real data each non-real eigenvalue stands for its conjugate pair,
+    whose lower member takes conj(b_m): writing b_m = (y_re + 1j y_im) /
+    sqrt(2) turns the pair's g b_m + conj(g b_m) into sqrt(2) Re(g) y_re -
+    sqrt(2) Im(g) y_im, so the fit runs in real arithmetic over two columns
+    per pair and Re(g) per real eigenvalue.  That is a unitary change of
+    unknowns: the solution and the singular values are those of the complex
+    fit over both members.  The design matrix is never built whole: [design
+    | rhs] is formed by blocks of _BLOCK snapshots, and a running QR of the
+    rows so far (TSQR) reduces it to its R factor once a second block
+    arrives.  ``lstsq`` then takes the minimum-norm solution and the rank
+    from that factor, or from the one block itself, with the cut-off gelsd
+    applies to the whole design, eps * max(rows, columns).  The condition
+    estimate is the ratio of the scaled design matrix's extreme singular
+    values.  An ill-conditioned system also warns with both.
     """
     m, k = data.shape
     n = lam.size
@@ -336,72 +340,42 @@ def _fit_b(
     scale[scale == 0] = 1.0  # a zero shape keeps its zero column
     unit = shapes / scale
 
-    def solve(real: bool):
-        """Solution, rank and singular values of the fit, or None if the
-        real design does not apply to a block."""
-        design = rhs = None
-        for k0 in starts:
-            p = powers(k0) if k0 else first
-            g = (p[:, None, :] * unit[None, :, :]).reshape(p.shape[0] * m, n)
-            y = data[:, k0 : k0 + p.shape[0]].T.reshape(-1)
-            a = g
-            if real:
-                found = _real_design(g, lam)
-                if found is None:
-                    return None
-                a, up, lo, single = found
-            if design is not None:
-                stacked = np.vstack([np.column_stack([design, rhs]), np.column_stack([a, y])])
-                r = np.linalg.qr(stacked, mode="r")
-                a, y = r[:, :n], r[:, n]
-            design, rhs = a, y
-        rcond = np.finfo(float).eps * max(k * m, n)
-        sol, _, rank, svals = np.linalg.lstsq(design, rhs.astype(design.dtype), rcond=rcond)
+    real = not np.iscomplexobj(data)
+    pair = _pair_sides(lam) != 0
+    root2 = math.sqrt(2.0)
+    design = rhs = None
+    for k0 in starts:
+        p = powers(k0) if k0 else first
+        a = (p[:, None, :] * unit[None, :, :]).reshape(p.shape[0] * m, n)
+        y = data[:, k0 : k0 + p.shape[0]].T.reshape(-1)
         if real:
-            y, sol = sol, np.empty(n, dtype=complex)
-            sol[up] = (y[: up.size] + 1j * y[up.size : 2 * up.size]) / math.sqrt(2.0)
-            sol[lo] = sol[up].conj()
-            sol[single] = y[2 * up.size :]
-        return sol, rank, svals
-
-    solved = None if np.iscomplexobj(data) else solve(True)
-    sol, rank, svals = solved or solve(False)
+            a = np.hstack(
+                [root2 * a.real[:, pair], -root2 * a.imag[:, pair], a.real[:, ~pair]]
+            )
+        if design is not None:
+            stacked = np.vstack([np.column_stack([design, rhs]), np.column_stack([a, y])])
+            r = np.linalg.qr(stacked, mode="r")
+            a, y = r[:, :-1], r[:, -1]
+        design, rhs = a, y
+    cols = design.shape[1]
+    rcond = np.finfo(float).eps * max(k * m, cols)
+    sol, _, rank, svals = np.linalg.lstsq(design, rhs, rcond=rcond)
+    if real:
+        h = np.count_nonzero(pair)
+        y, sol = sol, np.empty(n, dtype=complex)
+        sol[pair] = (y[:h] + 1j * y[h : 2 * h]) / root2
+        sol[~pair] = y[2 * h :]
     sol = sol / scale
     smin = svals[-1]
     cond = math.inf if smin == 0 else float(svals[0] / smin)
-    if rank < n or cond > _COND_WARN:
+    if rank < cols or cond > _COND_WARN:
         warnings.warn(
             f"amplitude fit is ill-conditioned (cond ~ {cond:.3e}, rank "
-            f"{rank}/{n}); minimum-norm solution used",
+            f"{rank}/{cols}); minimum-norm solution used",
             RuntimeWarning,
             stacklevel=3,
         )
     return sol, cond, int(rank)
-
-
-def _real_design(g: np.ndarray, lam: np.ndarray):
-    """Real design matrix of the same fit, or None: (a, up, lo, single).
-
-    Applies when the columns of eigenvalues above the real axis (``up``)
-    are exactly the conjugates of those below (``lo``, in matching order)
-    and the columns of real eigenvalues (``single``) are real.  Then
-    b_up = (y_re + 1j y_im) / sqrt(2) and b_lo = conj(b_up) turn
-    g_up b_up + g_lo b_lo into sqrt(2) Re(g_up) y_re - sqrt(2) Im(g_up) y_im,
-    a unitary change of unknowns: for real data the least-squares solution
-    and the singular values are those of the complex fit.
-    """
-    side = _pair_sides(lam)
-    up, lo, single = (np.flatnonzero(side == s) for s in (1, -1, 0))
-    if up.size != lo.size:
-        return None
-    up = up[np.lexsort((lam[up].imag, lam[up].real))]
-    lo = lo[np.lexsort((-lam[lo].imag, lam[lo].real))]
-    pairs, rest = g[:, up], g[:, single]
-    if not np.array_equal(pairs, g[:, lo].conj()) or np.any(rest.imag):
-        return None
-    root2 = math.sqrt(2.0)
-    a = np.hstack([root2 * pairs.real, -root2 * pairs.imag, rest.real])
-    return a, up, lo, single
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
@@ -426,8 +400,7 @@ def fit_amplitudes(modes: Sequence[Mode], x: SnapshotMatrix) -> np.ndarray:
 
     Real data is fitted by the model of :func:`reconstruct`, as
     :class:`Mode` reports it: each non-real mode stands for itself and its
-    conjugate partner, so the partner joins the fit (conjugate eigenvalue
-    and shape) and the mode's amplitude comes back doubled.
+    conjugate partner (:func:`_fit_b`), so its amplitude comes back doubled.
     """
     if len(modes) == 0:
         raise ValueError("mode list is empty")
@@ -436,12 +409,9 @@ def fit_amplitudes(modes: Sequence[Mode], x: SnapshotMatrix) -> np.ndarray:
         raise ValueError(
             f"shape length {shapes.shape[0]} does not match {x.n_channels} channels"
         )
-    if np.iscomplexobj(x.data):
-        return _fit_b(shapes, lam, x.data)[0]
-    pair = np.flatnonzero(_pair_sides(lam))
-    shapes = np.hstack([shapes, shapes[:, pair].conj()])
-    b = _fit_b(shapes, np.concatenate([lam, lam[pair].conj()]), x.data)[0][: lam.size]
-    b[pair] *= 2.0
+    b = _fit_b(shapes, lam, x.data)[0]
+    if not np.iscomplexobj(x.data):
+        b[_pair_sides(lam) != 0] *= 2.0
     return b
 
 
@@ -498,26 +468,21 @@ def _amplitude_truncate(
     policy: TruncationPolicy,
     real_input: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Drop weak modes, keeping conjugate pairs together.
+    """Drop weak modes.
 
     The policy is applied to the amplitude sequence sorted descending (square
     aspect ratio for the hard-threshold rule); everything at or above the
-    cut-off amplitude survives.  For real input, conjugate partners share the
-    larger of their two amplitudes.
+    cut-off amplitude survives.  For real input each non-real eigenvalue
+    stands for its conjugate pair, so its amplitude enters the sequence
+    twice, once per member.
     """
     strength = np.abs(b)
-    side = _pair_sides(lam) if real_input else np.zeros(lam.size)
-    neg = np.flatnonzero(side < 0)
-    for i in np.flatnonzero(side > 0) if neg.size else ():
-        j = neg[np.argmin(np.abs(lam[neg] - lam[i].conjugate()))]
-        if abs(lam[j] - lam[i].conjugate()) <= 1e-6 * max(abs(lam[i]), 1.0):
-            strength[i] = strength[j] = max(strength[i], strength[j])
-    order = np.argsort(strength)[::-1]
-    ranked = strength[order]
+    members = 1 + (_pair_sides(lam) != 0) if real_input else 1
+    ranked = np.sort(np.repeat(strength, members))[::-1]
     r = truncation_rank(ranked, policy, (ranked.size, ranked.size))
     keep = strength >= ranked[r - 1]
     if not keep.any():
-        keep[order[0]] = True
+        keep[np.argmax(strength)] = True
     return lam[keep], shapes[:, keep], b[keep]
 
 
@@ -526,16 +491,15 @@ def _report_modes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Mode]]:
     """Apply the conjugate-pair reporting rule; the reported arrays and modes.
 
-    For real input the lower partner of each pair is dropped and the upper
-    one carries twice its amplitude.  Modes are ordered by frequency, growth
-    rate, then descending amplitude; the arrays come back in the same order.
+    For real input each non-real eigenvalue stands for its conjugate pair
+    and carries twice its fitted amplitude.  Modes are ordered by frequency,
+    growth rate, then descending amplitude; the arrays come back in the same
+    order.
     """
     lam = lam.astype(complex)  # real eigenvalues are reported as complex too
     if real_input:
-        side = _pair_sides(lam)
-        keep = side >= 0
-        b = np.where(side > 0, 2.0 * b, b)  # x2 is exact: |b| and phase too
-        lam, shapes, b = lam[keep], shapes[:, keep], b[keep]
+        # x2 is exact: |b| and phase too
+        b = np.where(_pair_sides(lam) != 0, 2.0 * b, b)
     # math.log/atan2 per mode: numpy's SIMD log/arctan2 may differ in the last bit
     rates = [eigenvalue_to_rates(mu, dt) for mu in lam.tolist()]
     growth, omega = np.reshape(rates, (-1, 2)).T
@@ -582,7 +546,12 @@ def _assemble(
     cfg: HodmdConfig,
     ranks: tuple[int, int],
 ) -> Decomposition:
-    """Steps shared by both decompositions: amplitudes, pruning, reporting, errors."""
+    """Steps shared by both decompositions: amplitudes, pruning, reporting, errors.
+
+    For a real record only the upper member of each conjugate pair is kept
+    past the zero and overflow filters; it stands for the pair through the
+    amplitude fit, the merge, the pruning and the report.
+    """
     real_input = not np.iscomplexobj(x.data)
     k = x.n_snapshots
 
@@ -590,6 +559,8 @@ def _assemble(
     keep = lam_abs > _ZERO_EIG_TOL * lam_abs.max()
     with np.errstate(divide="ignore"):
         keep &= (k - 1) * np.log(np.where(lam_abs > 0, lam_abs, 1.0)) < _LOG_RANGE
+    if real_input:
+        keep &= _pair_sides(lam) >= 0
     if not keep.any():
         raise DegenerateInputError("all eigenvalues collapsed to zero")
     lam, shapes = lam[keep], shapes[:, keep]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from modespect import (
     DampedComponent,
     DegenerateInputError,
+    FixedCount,
     HodmdConfig,
     Mode,
     OptimalHardThreshold,
@@ -320,12 +321,14 @@ class TestPowerTable:
 
 class TestAmplitudeRank:
     def test_duplicate_pole_rank_reported(self):
+        # each eigenvalue stands for a conjugate pair: two real columns each,
+        # and the duplicate pair repeats both
         shapes = np.ones((1, 2), dtype=complex)
         lam = np.array([0.9 + 0.1j, 0.9 + 0.1j])
         data = np.real(lam[0] ** np.arange(40))[None, :]
-        with pytest.warns(RuntimeWarning, match="rank 1/2"):
+        with pytest.warns(RuntimeWarning, match="rank 2/4"):
             _, cond, rank = _fit_b(shapes, lam, data)
-        assert rank == 1 and cond > 1e12
+        assert rank == 2 and cond > 1e12
 
     def test_full_rank_fit_on_a_decomposition(self):
         ts = synth_decaying_sum(preset_components("paper-case-2"), fs=FS, n=2048)
@@ -449,15 +452,21 @@ class TestRealAmplitudeFit:
 
     def test_matches_complex_fit_on_saturated_segment(self, monkeypatch):
         cfg = HodmdConfig(d=500, dt=DT)
-        args = self.fit_args(monkeypatch, saturated_segment(), cfg)
+        shapes, lam, data = self.fit_args(monkeypatch, saturated_segment(), cfg)
+        side = decompose._pair_sides(lam)
+        assert np.all(side >= 0)  # one eigenvalue per conjugate pair
         dtypes = self.lstsq_dtypes(monkeypatch)
-        b_real, cond_real, rank_real = _fit_b(*args)
-        monkeypatch.setattr(decompose, "_real_design", lambda g, lam: None)
-        b_cplx, cond_cplx, rank_cplx = _fit_b(*args)
+        b_real, cond_real, rank_real = _fit_b(shapes, lam, data)
+        # the complex fit of both members of each pair, on complex data
+        pair = side > 0
+        both = np.r_[lam, lam[pair].conj()]
+        both_shapes = np.hstack([shapes, shapes[:, pair].conj()])
+        b_cplx, cond_cplx, rank_cplx = _fit_b(both_shapes, both, data.astype(complex))
         assert dtypes == [np.float64, np.complex128]
-        assert rank_real == rank_cplx == 500
+        assert rank_real == rank_cplx == both.size == 500
         assert cond_real == pytest.approx(cond_cplx, rel=1e-6)
-        np.testing.assert_allclose(b_real, b_cplx, rtol=1e-9)
+        np.testing.assert_allclose(b_real, b_cplx[: lam.size], rtol=1e-9)
+        np.testing.assert_allclose(b_real[pair].conj(), b_cplx[lam.size :], rtol=1e-9)
 
     def test_complex_data_stays_complex_and_reported_modes_fit_real(self, monkeypatch):
         dtypes = self.lstsq_dtypes(monkeypatch)
@@ -662,6 +671,46 @@ class TestHodmd:
         )
         assert len(pruned.modes) == 1
         assert pruned.modes[0].frequency_hz == pytest.approx(1000.0, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "policy, freqs",
+        [
+            (FixedCount(2), [10450.332]),
+            (FixedCount(3), [4678.422, 10450.332]),
+            (FixedCount(5), [4678.422, 9156.407, 10450.332]),
+            (FixedCount(9), [1842.517, 3636.594, 4678.422, 9156.407, 10450.332]),
+            (
+                OptimalHardThreshold(),
+                [0.0, 1842.517, 2298.909, 3636.594, 4678.422, 4829.595, 5776.489,
+                 9156.407, 10450.332, 10470.19],
+            ),
+            (
+                Tolerance(0.5),
+                [1842.517, 3636.594, 4678.422, 4829.595, 5776.489, 9156.407,
+                 10450.332, 10470.19],
+            ),
+        ],
+    )
+    def test_amplitude_policy_counts_each_pair_twice(self, policy, freqs):
+        # a reported non-real mode ranks as both members of its pair:
+        # FixedCount(3) keeps the two strongest pairs
+        clean = synth_decaying_sum(preset_components("paper-case-3"), fs=FS, n=4096)
+        snap = build_snapshots(add_gaussian_noise(clean, 1e-3, seed=1))
+        with pytest.warns(RuntimeWarning, match="saturated"):
+            dec = hodmd(snap, HodmdConfig(d=50, dt=DT, amplitude_policy=policy))
+        got = [m.frequency_hz for m in dec.modes]
+        assert got == pytest.approx(freqs, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "n, slope, d", [(1024, 1e-3, 500), (2048, 1e-3, 200), (2048, 1e-4, 300)]
+    )
+    def test_linear_drift_reconstructs(self, n, slope, d):
+        # the drift's poles 1 +- i eps lie off the real axis by more than
+        # _REAL_EIG_TOL and within _MERGE_TOL of each other; the pair is one
+        # eigenvalue from the fit on, so it cannot merge with itself
+        ts = TimeSeries(1.0 + slope * np.arange(n), dt=DT)
+        dec = hodmd(build_snapshots(ts), HodmdConfig(d=d, dt=DT))
+        assert dec.relative_rms < 1e-9
 
     def test_sizing_violation(self):
         snap = SnapshotMatrix(np.random.default_rng(0).normal(size=(1, 100)), dt=DT)

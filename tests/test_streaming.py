@@ -160,7 +160,11 @@ class TestStreamedReductions:
 
 
 def one_shot_fit(shapes, lam, data):
-    """The amplitude fit with its whole design matrix and one ``lstsq``."""
+    """The amplitude fit with its whole design matrix and one ``lstsq``.
+
+    For real data each non-real eigenvalue stands for its conjugate pair and
+    takes two real columns, sqrt(2) Re(g) and -sqrt(2) Im(g).
+    """
     m, k = data.shape
     powers = (lam[:, None] ** np.arange(k)).T
     on_axis = lam.imag == 0
@@ -170,22 +174,18 @@ def one_shot_fit(shapes, lam, data):
     scale *= np.linalg.norm(shapes, axis=0)
     g = (powers[:, None, :] * (shapes / scale)[None, :, :]).reshape(k * m, -1)
     rhs = data.T.reshape(-1)
-    real = None if np.iscomplexobj(data) else decompose._real_design(g, lam)
-    if real is None:
-        sol, _, rank, svals = np.linalg.lstsq(g, rhs.astype(complex), rcond=None)
+    if np.iscomplexobj(data):
+        sol, _, rank, svals = np.linalg.lstsq(g, rhs, rcond=None)
     else:
-        a, up, lo, single = real
+        pair = decompose._pair_sides(lam) != 0
+        h = np.count_nonzero(pair)
+        root2 = math.sqrt(2.0)
+        a = np.hstack([root2 * g.real[:, pair], -root2 * g.imag[:, pair], g.real[:, ~pair]])
         y, _, rank, svals = np.linalg.lstsq(a, rhs, rcond=None)
         sol = np.empty(lam.size, dtype=complex)
-        sol[up] = (y[: up.size] + 1j * y[up.size : 2 * up.size]) / math.sqrt(2.0)
-        sol[lo] = sol[up].conj()
-        sol[single] = y[2 * up.size :]
+        sol[pair] = (y[:h] + 1j * y[h : 2 * h]) / root2
+        sol[~pair] = y[2 * h :]
     return sol / scale, float(svals[0] / svals[-1]), int(rank)
-
-
-def conjugate_pairs(freqs_hz, growth=-3.0):
-    lam = poles(freqs_hz, growth)
-    return np.concatenate([lam, lam.conj()])
 
 
 class TestBlockedFit:
@@ -194,12 +194,14 @@ class TestBlockedFit:
         k = 2**16
         rng = np.random.default_rng(3)
         if kind == "real":
-            lam = np.r_[conjugate_pairs([900.0, 2100.0, 3700.0, 5100.0, 8800.0]), 1.0]
-            b = rng.normal(size=6) + 1j * rng.normal(size=6)
-            b = np.r_[b[:5], b[:5].conj(), b[5].real]
+            # five upper members, each standing for its conjugate pair, and a
+            # real pole: two real columns per pair, one for the real pole
+            lam = np.r_[poles([900.0, 2100.0, 3700.0, 5100.0, 8800.0]), 1.0]
+            columns = 11
         else:
             lam = poles([-6100.0, -900.0, 2100.0, 3700.0, 5100.0, 8800.0])
-            b = rng.normal(size=6) + 1j * rng.normal(size=6)
+            columns = 6
+        b = rng.normal(size=6) + 1j * rng.normal(size=6)
         shapes = np.ones((1, lam.size), dtype=complex)
         data = shapes @ (_power_table(lam, k) * b[:, None])
         if kind == "real":
@@ -208,31 +210,32 @@ class TestBlockedFit:
         got, ref = _fit_b(shapes, lam, data), one_shot_fit(shapes, lam, data)
         np.testing.assert_allclose(got[0], ref[0], rtol=1e-9)
         assert got[1] == pytest.approx(ref[1], rel=1e-6)
-        assert got[2] == ref[2] == lam.size
+        assert got[2] == ref[2] == columns
 
     def test_near_duplicate_pole_rank_uses_the_design_rows(self):
-        # poles one ulp apart over 3 blocks: sigma_2 / sigma_1 ~ 2e-13 lies
-        # below eps * rows but above eps * columns of the small R factor
+        # pairs one ulp apart over 3 blocks: the two smallest of the four
+        # singular values, ~2e-13 * sigma_1, lie below eps * rows but above
+        # eps * columns of the small R factor
         k = 3 * BLOCK + 77
         mu = np.exp(-1e-5 + 0.3j)
         lam = np.array([mu, complex(np.nextafter(mu.real, 2.0), mu.imag)])
         data = np.real(mu ** np.arange(k))[None, :]
         shapes = np.ones((1, 2), dtype=complex)
-        with pytest.warns(RuntimeWarning, match="rank 1/2"):
+        with pytest.warns(RuntimeWarning, match="rank 2/4"):
             _, cond, rank = _fit_b(shapes, lam, data)
-        assert rank == 1 and cond > 1e12
+        assert rank == 2 and cond > 1e12
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            assert one_shot_fit(shapes, lam, data)[2] == 1
+            assert one_shot_fit(shapes, lam, data)[2] == 2
 
     def test_decayed_mode_with_a_subnormal_block_peak(self):
         # |mu|**4096 = 1e-310: the second block's peak is subnormal, and
         # dividing by it overflows; the fifth block's powers are all zero
         mu = 10.0 ** (-310 / BLOCK) * np.exp(0.7j)
-        lam = np.array([mu, mu.conjugate(), np.exp(0.2j), np.exp(-0.2j)])
+        lam = np.array([mu, np.exp(0.2j)])  # two conjugate pairs
         k = 4 * BLOCK + 5
-        shapes = np.ones((1, 4), dtype=complex)
-        data = 2.0 * np.real(_power_table(lam[::2], k).sum(axis=0))[None, :]
+        shapes = np.ones((1, 2), dtype=complex)
+        data = 2.0 * np.real(_power_table(lam, k).sum(axis=0))[None, :]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             b, cond, rank = _fit_b(shapes, lam, data)
@@ -278,13 +281,13 @@ class TestBoundedMemory:
         assert peak < 40 * MIB
 
     def test_fit_below_one_design_array(self):
-        # 32 conjugate pairs on a real record: the design matrix alone is
-        # 65,536 x 64 complex, 64 MiB
+        # 32 conjugate pairs on a real record: the complex design matrix of
+        # both members alone is 65,536 x 64 complex, 64 MiB
         k = 2**16
-        lam = conjugate_pairs(np.linspace(300.0, 11_000.0, 32))
+        lam = poles(np.linspace(300.0, 11_000.0, 32))  # the upper members
         shapes = np.ones((1, lam.size), dtype=complex)
         data = 2.0 * np.real(np.sum(_power_table(lam[:4], k), axis=0))[None, :]
         (b, _, rank), peak = traced_peak(_fit_b, shapes, lam, data)
         assert rank == 64
         np.testing.assert_allclose(b[:4], 1.0, rtol=1e-9)
-        assert peak < k * lam.size * 16
+        assert peak < k * 64 * 16
