@@ -24,7 +24,7 @@ from .linalg import FixedCount, OptimalHardThreshold, Tolerance, TruncationPolic
 from .linalg import eig, lstsq, svd_econ, truncation_rank
 from .linalg import _hard_threshold, _normalize_eigenvectors
 from . import linalg
-from .signals import TimeSeries, relative_max_error, relative_rms_error
+from .signals import TimeSeries, _sum_squares
 
 __all__ = [
     "SizingError",
@@ -516,27 +516,61 @@ def _report_modes(
 
 
 def _mode_signal(
-    shapes: np.ndarray, lam: np.ndarray, b: np.ndarray, n_samples: int
+    shapes: np.ndarray, lam: np.ndarray, b: np.ndarray, n: int, start: int = 0
 ) -> np.ndarray:
-    """sum_m shape_m * lam_m**k * b_m for k = 0 .. n_samples-1; (channels, n)."""
-    powers = _power_table(lam, n_samples)
+    """sum_m shape_m * lam_m**k * b_m for k = start .. start+n-1; (channels, n)."""
+    powers = _power_table(lam, n, start)
     powers *= b[:, None]
     return shapes @ powers
 
 
 def reconstruct(dec: Decomposition, n_samples: int) -> TimeSeries:
-    """Time series regenerated from a decomposition's reported modes."""
+    """Time series regenerated from a decomposition's reported modes.
+
+    The samples are formed by blocks of _BLOCK, so the only array that grows
+    with ``n_samples`` is the result.
+    """
     if not dec.modes:
         raise ValueError("decomposition has no modes")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     *_, lam, b, shapes = _mode_columns(dec.modes)
-    samples = _mode_signal(shapes, lam, b, n_samples)
-    if dec.real_input:
-        samples = samples.real
+    dtype = float if dec.real_input else complex
+    samples = np.empty((shapes.shape[0], n_samples), dtype)
+    for k0 in range(0, n_samples, _BLOCK):
+        part = _mode_signal(shapes, lam, b, min(_BLOCK, n_samples - k0), k0)
+        samples[:, k0 : k0 + part.shape[1]] = part.real if dec.real_input else part
     if samples.shape[0] == 1:
         samples = samples[0]
     return TimeSeries(samples, dt=dec.config.dt)
+
+
+def _relative_errors(
+    data: np.ndarray, shapes: np.ndarray, lam: np.ndarray, b: np.ndarray
+) -> tuple[float, float]:
+    """relative_rms_error and relative_max_error of the modes' reconstruction.
+
+    The reconstruction is formed by blocks of _BLOCK snapshots and dropped,
+    so no modes x K power table is formed: the peak of the data, the sums
+    of squares and the largest deviation are taken block by block.  A record
+    of one block gets the two functions' results bit for bit; longer ones
+    add the blocks' sums of squares.
+    """
+    k = data.shape[1]
+    starts = range(0, k, _BLOCK)
+    peak = max(float(np.max(np.abs(data[:, k0 : k0 + _BLOCK]))) for k0 in starts)
+    scale = 2.0 ** (math.frexp(peak)[1] - 1)  # as relative_rms_error scales
+    err = ref = worst = 0.0
+    for k0 in starts:
+        block = data[:, k0 : k0 + _BLOCK]
+        recon = _mode_signal(shapes, lam, b, block.shape[1], k0)
+        if not np.iscomplexobj(data):
+            recon = recon.real
+        worst = max(worst, float(np.max(np.abs(block - recon))))
+        block, recon = block / scale, recon / scale
+        err += _sum_squares(block - recon)
+        ref += _sum_squares(block)
+    return float(np.sqrt(err) / np.sqrt(ref)), worst / peak
 
 
 def _assemble(
@@ -582,13 +616,11 @@ def _assemble(
     if not modes:
         raise DegenerateInputError("no reportable modes")
 
-    recon = _mode_signal(shapes, lam, b, k)
-    if real_input:
-        recon = recon.real
+    rms, worst = _relative_errors(x.data, shapes, lam, b)
     return Decomposition(
         modes=tuple(modes),
-        relative_rms=relative_rms_error(x.data, recon),
-        relative_max=relative_max_error(x.data, recon),
+        relative_rms=rms,
+        relative_max=worst,
         config=cfg,
         ranks=(ranks[0], ranks[1], len(modes)),
         real_input=real_input,
@@ -630,29 +662,67 @@ def _held(a):
     return a.whole()
 
 
+def _column_block(a, c: int) -> np.ndarray:
+    """Columns c .. c+_BLOCK-1 of an array (a view) or of a :class:`_DelayMatrix`."""
+    return a[:, c : c + _BLOCK] if isinstance(a, np.ndarray) else a.block(c)
+
+
 def _column_blocks(a):
-    """Blocks of _BLOCK columns of ``a``: views of an array, or built one at
-    a time from a :class:`_DelayMatrix`."""
-    starts = range(0, a.shape[1], _BLOCK)
-    if isinstance(a, np.ndarray):
-        return [a[:, c : c + _BLOCK] for c in starts]
-    return (a.block(c) for c in starts)
+    """Blocks of _BLOCK columns of ``a``, one at a time, first to last."""
+    return (_column_block(a, c) for c in range(0, a.shape[1], _BLOCK))
 
 
-def _power_pass(a, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The R factor of a^H q and the product a a^H q, both by column blocks.
+class _RightVectors:
+    """The right singular vectors v of a truncated SVD, read by row blocks.
 
-    Each block's rows of a^H q go into a running QR of the rows so far and
-    into the product, then are dropped, so no long-side array is formed.
-    The singular values of the R factor are those of q^H a.
+    ``blocks()`` yields v's consecutive row blocks, the last block first;
+    ``np.asarray`` stacks them whole.  ``head(cols)`` is v's leading
+    ``cols`` columns.  v is an array held whole after a dense SVD, one
+    block, or formed block by block from the Ritz factors of
+    :func:`_ritz_triplets`, so that :func:`hodmd` never holds it.
+    """
+
+    def __init__(self, shape: tuple[int, int], dtype, blocks):
+        self.shape, self.dtype, self._blocks = shape, dtype, blocks
+
+    @classmethod
+    def held(cls, v: np.ndarray) -> "_RightVectors":
+        return cls(v.shape, v.dtype, lambda cols: iter([v[:, :cols]]))
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def head(self, cols: int) -> "_RightVectors":
+        return _RightVectors((self.shape[0], cols), self.dtype, self._blocks)
+
+    def blocks(self):
+        return self._blocks(self.shape[1])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        v = np.vstack(list(self.blocks())[::-1])
+        return v if dtype is None else v.astype(dtype)
+
+
+def _power_pass(a, q: np.ndarray, product: bool = True):
+    """A running QR of a^H q and the product a a^H q, both by column blocks.
+
+    Each block's rows c_i of a^H q go into a running QR of the rows so far,
+    [r_{i-1}; c_i] = z_i r_i as in sequential TSQR (Demmel, Grigori,
+    Hoemmen & Langou 2012), and into the product, then are dropped, so no
+    long-side array is formed.  Returns the last R factor, whose singular
+    values are those of q^H a; the product, or 0 if ``product`` is false;
+    and every step's r_{i-1}, from which :func:`_ritz_triplets` forms z
+    again.
     """
     r = np.zeros((0, q.shape[1]), dtype=np.result_type(a.dtype, q.dtype))
-    y = 0
+    y, tops = 0, []
     for b in _column_blocks(a):
         c = (q.conj().T @ b).conj().T  # faster than b.conj().T @ q
+        tops.append(r)
         r = np.linalg.qr(np.vstack([r, c]), mode="r")
-        y = y + b @ c
-    return r, y
+        if product:
+            y = y + b @ c
+    return r, y, tops
 
 
 def _short_side_gram(a) -> np.ndarray:
@@ -726,9 +796,10 @@ def _sketched_svd(a, policy: TruncationPolicy):
     :func:`_truncated_svd` decides each reduction's rank in one call.
 
     The start and every pass are one :func:`_power_pass`, which goes by
-    column blocks; long-side arrays appear only when the triplets are
-    formed, once the iteration has converged.  A sketch given up therefore
-    leaves no freed long-side arrays resident under the dense SVD.
+    column blocks, and the running QR of the last pass gives the Ritz
+    triplets (:func:`_ritz_triplets`), whose v is formed by blocks when it
+    is read.  No long-side array is formed, and a sketch given up leaves
+    none resident under the dense SVD.
     """
     if _SKETCH_FRACTION * (1 + _OVERSAMPLE) > min(a.shape):
         return None  # no room for even a rank-1 sketch
@@ -755,7 +826,7 @@ def _sketched_svd(a, policy: TruncationPolicy):
     reference = exact
     for _ in range(_MAX_PASSES):
         q = np.linalg.qr(y)[0]
-        r, y = _power_pass(m, q)
+        r, y, tops = _power_pass(m, q)
         s = np.linalg.svd(r)[1]  # the Ritz values
         if exact is None:
             rank = linalg.truncation_rank(s, policy, (width, width))
@@ -768,23 +839,41 @@ def _sketched_svd(a, policy: TruncationPolicy):
         reference = s if exact is None else exact
     else:
         return None
-    u, s, v = _ritz_triplets(m, q)
+    u, s, v = _ritz_triplets(m, q, r, tops)
     if exact is None:
         exact = np.concatenate([s, np.zeros(min(m.shape) - width)])
     return exact, u, s, v
 
 
-def _ritz_triplets(a, q: np.ndarray):
-    """Ritz triplets (u, s, v) of ``a`` on the range of the orthonormal q."""
-    qa = np.empty((q.shape[1], a.shape[1]), dtype=np.result_type(a.dtype, q.dtype))
-    c = 0
-    for b in _column_blocks(a):
-        qa[:, c : c + b.shape[1]] = q.conj().T @ b
-        c += b.shape[1]
-    # a^H q = z rz, so the Ritz triplets of q^H a come from rz^H alone
-    z, rz = np.linalg.qr(qa.conj().T)
-    ub, s, vbh = np.linalg.svd(rz.conj().T)
-    return q @ ub, s, z @ vbh.conj().T
+def _ritz_triplets(a, q: np.ndarray, r: np.ndarray, tops: list):
+    """Ritz triplets (u, s, v) of ``a`` on the range of the orthonormal q.
+
+    ``r`` and ``tops`` are the running QR of a^H q = z r by
+    :func:`_power_pass`.  The triplets of q^H a come from the small factor
+    alone: r^H = ub s vb^H gives u = q ub and v = z vb.  Block i's rows of
+    z are the rows of z_i below r_{i-1}, times the rows of z_{i+1} above
+    c_{i+1}, and so on to the last step.  v is a :class:`_RightVectors`
+    that forms them last block first: it rebuilds each block, takes z_i
+    again from the same QR, yields the block's rows of v and carries the
+    product of the upper rows, a w x w matrix, to the block before.  A
+    matrix of one block is one QR of a^H q, and v is z vb.
+    """
+    ub, s, vbh = np.linalg.svd(r.conj().T)
+    vb = vbh.conj().T
+    qh = q.conj().T
+
+    def blocks(cols: int):
+        w = vb
+        for i in range(len(tops) - 1, -1, -1):
+            c = (qh @ _column_block(a, i * _BLOCK)).conj().T
+            z = np.linalg.qr(np.vstack([tops[i], c]))[0]
+            top = len(tops[i])
+            yield (z[top:] @ w)[:, :cols]
+            if i:
+                w = z[:top] @ w
+
+    shape = (a.shape[1], vb.shape[1])
+    return q @ ub, s, _RightVectors(shape, np.result_type(a.dtype, q.dtype), blocks)
 
 
 def _blocked_svd(a, policy: TruncationPolicy):
@@ -795,8 +884,9 @@ def _blocked_svd(a, policy: TruncationPolicy):
     is zero.  a^H = Q R, so the rows x rows factor R^H = U S W^H holds every
     singular value and the left vectors of a.  R comes from a running QR of
     the blocks of a^H; the trial rank under ``policy`` takes the kept
-    columns of U, and :func:`_ritz_triplets` forms the triplets from them.
-    Only rows x rows arrays and one block stay resident until then.
+    columns of U, and :func:`_ritz_triplets` forms the triplets from a
+    second running QR, of a^H U.  Only rows x rows arrays and one block are
+    resident at a time.
     """
     if not a.shape[0] < a.shape[1] > _BLOCK:
         return None
@@ -807,16 +897,20 @@ def _blocked_svd(a, policy: TruncationPolicy):
     if values[0] == 0:
         return None
     rank = linalg.truncation_rank(values, policy, a.shape)
-    return (values, *_ritz_triplets(a, ur[:, :rank]))
+    q = ur[:, :rank]
+    r, _, tops = _power_pass(a, q, product=False)
+    return (values, *_ritz_triplets(a, q, r, tops))
 
 
 def _truncated_svd(a, policy: TruncationPolicy):
     """Rank under ``policy`` and the kept triplets (rank, u, s, v) of ``a``.
 
     ``a`` is an array or a :class:`_DelayMatrix`.  ``a ~= u @ diag(s) @
-    v^H`` over the kept triplets.  Subspace iteration finds them where it
-    can.  Otherwise, as for an uncertified optimal-threshold Gram, a wide
-    matrix of more than one column block gets every singular value from one
+    v^H`` over the kept triplets; v is a :class:`_RightVectors`, read by
+    row blocks, so a wide matrix's v is never held whole unless its reader
+    stacks it.  Subspace iteration finds them where it can.  Otherwise, as
+    for an uncertified optimal-threshold Gram, a wide matrix of more than
+    one column block gets every singular value from one
     blocked QR pass (:func:`_blocked_svd`), and every other shape the dense
     economy SVD of the matrix built whole, so the 500 x 525 matrix of a
     saturated segment gets the dense result exactly.  Each way one
@@ -831,10 +925,49 @@ def _truncated_svd(a, policy: TruncationPolicy):
             raise DegenerateInputError(
                 f"{m.shape[0]}x{m.shape[1]} matrix has zero leading singular value"
             )
-        found = s, sv.left_vectors, s, sv.right_vectors
+        found = s, sv.left_vectors, s, _RightVectors.held(sv.right_vectors)
     values, u, s, v = found
     r = truncation_rank(values, policy, (u.shape[0], v.shape[0]))
-    return r, u[:, :r], s[:r], v[:, :r]
+    return r, u[:, :r], s[:r], v.head(r)
+
+
+def _shift_core(v: _RightVectors, s: np.ndarray) -> np.ndarray:
+    """M of the least-squares propagator S M S^-1 of the kept triplets (s, v).
+
+    The leading snapshots' Gram is S (I - c c^H) S with c = conj(v[-1]), so
+    Sherman-Morrison gives M = v[1:]^H v[:-1] (I + c c^H / gap), gap = 1 -
+    |c|^2.  A gap at or below _GAP_MIN takes ``lstsq`` on xbar = S v^H
+    instead.  Both are sums over v's rows, taken over its row blocks, last
+    first, so v is never held whole: each block is extended by the first
+    row of the block after it, so that the pair of rows across a block
+    boundary is counted.  The closed form adds up each block's v[1:]^H
+    v[:-1]; ``lstsq`` gets the block itself if v is one block, and
+    otherwise the R factor of a running QR of [xbar[:, :-1]^T |
+    xbar[:, 1:]^T] over the blocks (TSQR), as :func:`_fit_b` does.
+    """
+    core = design = rhs = after = None
+    for block in v.blocks():
+        if after is None:  # the last block comes first
+            c = block[-1].conj()
+            gap = 1.0 - np.vdot(c, c).real
+        else:
+            block = np.vstack([block, after])
+        after = block[:1]
+        if gap > _GAP_MIN:
+            part = block[1:].conj().T @ block[:-1]
+            core = part if core is None else core + part
+            continue
+        xbar = s[:, None] * block.conj().T
+        a, y = xbar[:, :-1].T, xbar[:, 1:].T
+        if design is not None:
+            stacked = np.vstack([np.hstack([design, rhs]), np.hstack([a, y])])
+            r = np.linalg.qr(stacked, mode="r")
+            a, y = r[:, : s.size], r[:, s.size :]
+        design, rhs = a, y
+    if gap > _GAP_MIN:
+        core += np.outer(core @ c, c.conj() / gap)
+        return core
+    return lstsq(design, rhs).T * s / s[:, None]
 
 
 def _check_samples(data: np.ndarray) -> None:
@@ -886,21 +1019,24 @@ def hodmd(x: SnapshotMatrix, cfg: HodmdConfig) -> Decomposition:
     finds them is told at :func:`_truncated_svd`, and how the sketch finds
     each policy's rank at :func:`_sketched_svd`.  The delay matrix goes to
     them as a :class:`_DelayMatrix`: a wide one of more than one _BLOCK of
-    columns is built only by column blocks, except for the dense SVD, and
-    the amplitude fit goes by blocks of snapshots (:func:`_fit_b`), so
-    neither grows with K; the reconstruction for the errors still forms a
-    modes x K power table.  A delay-space rank equal to
-    min(shape) at d > 1 emits a ``RuntimeWarning``: every singular value
-    was kept.  The propagator is the least-squares one over the kept
-    triplets above eps * max(shape) * sigma_1, taken in closed form from
-    their right singular vectors v: it is S M S^-1 with M = v[1:]^H v[:-1]
-    (I + c c^H / gap), c = conj(v[-1]) and gap = 1 - |c|^2, so ``eig(M)``
-    gives its eigenvalues and S times M's eigenvectors its own (Schmid 2010,
-    applied to the reduction of Le Clainche & Vega 2017).  A gap at or below
-    _GAP_MIN, as when the kept rank equals the column count, takes ``lstsq``
-    instead.  With one spatial row every shape is that row's basis vector,
-    so only eigenvalues are computed.  Data with a non-finite sample or
-    only zeros raises ``DegenerateInputError`` before any other check.
+    columns is built only by column blocks, except for the dense SVD.  Its
+    right singular vectors v are read by row blocks and never held whole;
+    the amplitude fit (:func:`_fit_b`) and the reconstruction errors
+    (:func:`_relative_errors`) go by blocks of snapshots.  So apart from
+    the input and the spatial reduction's r x K ``reduced``, no array grows
+    with K.  A delay-space rank equal to min(shape) at d > 1 emits a
+    ``RuntimeWarning``: every singular value was kept.  The propagator is
+    the least-squares one over the kept triplets above eps * max(shape) *
+    sigma_1, taken in closed form from their right singular vectors v: it
+    is S M S^-1 with M = v[1:]^H v[:-1] (I + c c^H / gap), c = conj(v[-1])
+    and gap = 1 - |c|^2, so ``eig(M)`` gives its eigenvalues and S times
+    M's eigenvectors its own (Schmid 2010, applied to the reduction of Le
+    Clainche & Vega 2017).  A gap at or below _GAP_MIN, as when the kept
+    rank equals the column count, takes ``lstsq`` instead
+    (:func:`_shift_core`).  With one spatial row every shape is that
+    row's basis vector, so only eigenvalues are computed.  Data with a
+    non-finite sample or only zeros raises ``DegenerateInputError`` before
+    any other check.
     """
     data = x.data
     _check_samples(data)
@@ -913,7 +1049,11 @@ def hodmd(x: SnapshotMatrix, cfg: HodmdConfig) -> Decomposition:
     # 1. spatial reduction, skipped for one or two channels
     if m > 2:
         n_spat, basis, s, v = _truncated_svd(data, cfg.spatial_policy)
-        reduced = s[:, None] * v.conj().T
+        reduced = np.empty((n_spat, k), dtype=np.result_type(s, v.dtype))
+        end = k
+        for block in v.blocks():
+            reduced[:, end - len(block) : end] = s[:, None] * block.conj().T
+            end -= len(block)
     else:
         n_spat = m
         basis = np.eye(m)
@@ -934,18 +1074,11 @@ def hodmd(x: SnapshotMatrix, cfg: HodmdConfig) -> Decomposition:
             stacklevel=2,
         )
 
-    # 3. propagator S M S^-1 over the triplets above rounding level: the
-    # leading snapshots' Gram is S (I - c c^H) S, inverted by Sherman-Morrison
+    # 3. propagator S M S^-1 over the triplets above rounding level
     above = np.count_nonzero(s > np.finfo(float).eps * max(len(ubar), len(v)) * s[0])
-    ubar, s, v = ubar[:, :above], s[:above], v[:, :above]
-    c = v[-1].conj()
-    gap = 1.0 - np.vdot(c, c).real
-    if gap > _GAP_MIN:
-        core = v[1:].conj().T @ v[:-1]
-        core += np.outer(core @ c, c.conj() / gap)
-    else:
-        xbar = s[:, None] * v.conj().T
-        core = lstsq(xbar[:, :-1].T, xbar[:, 1:].T).T * s / s[:, None]
+    ubar, s = ubar[:, :above], s[:above]
+    core = _shift_core(v.head(above), s)
+    del v  # a tall delay matrix built whole stays referenced by v until here
     if n_spat == 1:
         # every shape is basis[:, 0] times a scalar, which normalizing removes
         lam, _ = eig(core, vectors=False)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -20,9 +20,11 @@ __all__ = ["Window", "WelchConfig", "default_welch_config", "dft", "periodogram"
 Window = Literal["rectangular", "hann"]
 
 
-def _window_samples(kind: Window, n: int) -> np.ndarray:
+def _window_samples(kind: Window, n: int) -> Optional[np.ndarray]:
+    """The window's n samples; None for the rectangular one, whose product
+    with the segment would change no sample."""
     if kind == "rectangular":
-        return np.ones(n)
+        return None
     if kind == "hann":
         # periodic form, the PSD-friendly variant
         return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
@@ -37,16 +39,25 @@ def dft(ts: TimeSeries) -> np.ndarray:
     return np.fft.fft(x)
 
 
-def _one_sided_psd(segments: np.ndarray, w: np.ndarray, fs: float) -> np.ndarray:
-    """One-sided PSD along the last axis, scaled as documented on periodogram."""
-    if np.iscomplexobj(segments):
+def _one_sided_psd(x: np.ndarray, w: Optional[np.ndarray], fs: float) -> np.ndarray:
+    """One-sided PSD of one segment, scaled as documented on periodogram.
+
+    ``w`` None is the rectangular window, for which sum(w**2) is the
+    segment length.  The PSD is formed in place over the DFT's parts.
+    """
+    if np.iscomplexobj(x):
         raise ValueError("one-sided PSD is defined for real signals")
-    coeffs = np.fft.rfft(segments * w, axis=-1)
-    psd = (coeffs.real**2 + coeffs.imag**2) / (fs * float(np.sum(w * w)))
-    if w.size % 2 == 0:
-        psd[..., 1:-1] *= 2.0
+    if w is None:
+        coeffs, power = np.fft.rfft(x), float(x.size)
     else:
-        psd[..., 1:] *= 2.0
+        coeffs, power = np.fft.rfft(x * w), float(np.sum(w * w))
+    psd = np.square(coeffs.real)
+    psd += np.square(coeffs.imag, out=coeffs.imag)
+    psd /= fs * power
+    if x.size % 2 == 0:
+        psd[1:-1] *= 2.0
+    else:
+        psd[1:] *= 2.0
     return psd
 
 
@@ -55,7 +66,9 @@ def periodogram(ts: TimeSeries, window: Window = "rectangular") -> Spectrum:
 
     Normalized by fs * sum(w**2), so a full-scale sine integrates to the same
     power under either window; interior bins are doubled, DC and (for even N)
-    the Nyquist bin are not.
+    the Nyquist bin are not.  The rectangular window takes the DFT of the
+    samples themselves, and the PSD is formed in place, so the arrays that
+    grow with N are the input, its DFT and the result.
     """
     x = np.asarray(ts.samples)
     if x.ndim != 1:
@@ -95,7 +108,11 @@ def default_welch_config(n_samples: int) -> WelchConfig:
 
 
 def welch(ts: TimeSeries, cfg: WelchConfig) -> Spectrum:
-    """Mean of windowed segment periodograms with the configured overlap."""
+    """Mean of windowed segment periodograms with the configured overlap.
+
+    The segment PSDs are added one segment at a time, in order (Welch's
+    running average), so only one segment and its DFT are held at once.
+    """
     x = np.asarray(ts.samples)
     if x.ndim != 1:
         raise ValueError("welch expects a single-channel series")
@@ -104,9 +121,10 @@ def welch(ts: TimeSeries, cfg: WelchConfig) -> Spectrum:
     if n < seg:
         raise ValueError(f"signal ({n} samples) shorter than one segment ({seg})")
     step = max(1, int(round(seg * (1.0 - cfg.overlap_fraction))))
-    segments = np.lib.stride_tricks.sliding_window_view(x, seg)[::step]
-    count = segments.shape[0]
-    psd = _one_sided_psd(segments, _window_samples(cfg.window, seg), ts.fs)
+    w = _window_samples(cfg.window, seg)
+    starts = range(0, n - seg + 1, step)
+    count = len(starts)
+    psd = sum(_one_sided_psd(x[k : k + seg], w, ts.fs) for k in starts) / count
     freqs = np.arange(seg // 2 + 1) * (ts.fs / seg)
     meta = {
         "source": "welch",
@@ -116,5 +134,4 @@ def welch(ts: TimeSeries, cfg: WelchConfig) -> Spectrum:
         "overlap_fraction": cfg.overlap_fraction,
         "segments": count,
     }
-    # a sum over axis 0 adds the segments in order: deterministic averaging
-    return Spectrum(freqs, psd.sum(axis=0) / count, meta)
+    return Spectrum(freqs, psd, meta)

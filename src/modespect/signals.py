@@ -17,6 +17,10 @@ __all__ = [
     "relative_max_error",
 ]
 
+# samples per block of synth_decaying_sum and add_gaussian_noise, so that
+# neither forms a temporary of the record's length
+_BLOCK = 2**16
+
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
@@ -90,17 +94,21 @@ def synth_decaying_sum(
     sample[k] = sum_i A_i * exp(-(k/fs) * D_i) * sin(2 pi f_i (k/fs) + phi_i)
 
     An empty component list yields the all-zero series of length ``n``.
+    The sum is formed by blocks of _BLOCK samples, each in component order,
+    so the result is the only array that grows with ``n``.
     """
     if not (math.isfinite(fs) and fs > 0):
         raise ValueError(f"fs must be positive and finite, got {fs!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    t = np.arange(n) / fs
     out = np.zeros(n)
-    for c in components:
-        out += c.amplitude * np.exp(-t * c.damping) * np.sin(
-            2.0 * np.pi * c.frequency_hz * t + c.phase_rad
-        )
+    for lo in range(0, n, _BLOCK):
+        t = np.arange(lo, min(lo + _BLOCK, n)) / fs
+        part = out[lo : lo + t.size]
+        for c in components:
+            part += c.amplitude * np.exp(-t * c.damping) * np.sin(
+                2.0 * np.pi * c.frequency_hz * t + c.phase_rad
+            )
     return TimeSeries(out, dt=1.0 / fs)
 
 
@@ -109,20 +117,23 @@ def add_gaussian_noise(ts: TimeSeries, sigma: float, seed: int) -> TimeSeries:
 
     The generator is numpy's ``default_rng`` (PCG64).  ``sigma == 0`` returns
     the input unchanged.  Complex series get independent real and imaginary
-    noise, each with standard deviation ``sigma``.
+    noise, each with standard deviation ``sigma``: the real parts of every
+    sample first, then the imaginary parts.  The noise is drawn by blocks of
+    _BLOCK samples and added in place to a copy of the samples; PCG64 draws
+    the same stream in blocks as at once.
     """
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be >= 0 and finite, got {sigma!r}")
     if sigma == 0:
         return ts
     rng = np.random.default_rng(seed)
-    if np.iscomplexobj(ts.samples):
-        noise = rng.normal(0.0, sigma, ts.samples.shape) + 1j * rng.normal(
-            0.0, sigma, ts.samples.shape
-        )
-    else:
-        noise = rng.normal(0.0, sigma, ts.samples.shape)
-    return TimeSeries(ts.samples + noise, ts.dt, ts.t0)
+    out = ts.samples.astype(np.result_type(ts.samples, float))
+    flat = out.reshape(-1)
+    for part in (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,):
+        for lo in range(0, part.size, _BLOCK):
+            block = part[lo : lo + _BLOCK]
+            block += rng.normal(0.0, sigma, block.size)
+    return TimeSeries(out, ts.dt, ts.t0)
 
 
 def _as_array(x: TimeSeries | np.ndarray) -> np.ndarray:
@@ -142,7 +153,15 @@ def relative_rms_error(
         raise ValueError("reference signal has zero norm")
     scale = 2.0 ** (math.frexp(peak)[1] - 1)
     ref, cand = ref / scale, cand / scale
-    return float(np.linalg.norm((ref - cand).ravel()) / np.linalg.norm(ref.ravel()))
+    return float(np.sqrt(_sum_squares(ref - cand)) / np.sqrt(_sum_squares(ref)))
+
+
+def _sum_squares(x: np.ndarray) -> float:
+    """Squared 2-norm of x's entries, summed as ``np.linalg.norm`` sums them."""
+    x = x.ravel()
+    if np.iscomplexobj(x):
+        return x.real.dot(x.real) + x.imag.dot(x.imag)
+    return x.dot(x)
 
 
 def relative_max_error(

@@ -190,6 +190,50 @@ class TestWelch:
             welch(TimeSeries(np.ones(10), dt=1.0), WelchConfig(segment_length=16))
 
 
+def one_shot_psd(segments, w, fs):
+    """One-sided PSD of every segment along the last axis, formed at once."""
+    coeffs = np.fft.rfft(segments * w, axis=-1)
+    psd = (coeffs.real**2 + coeffs.imag**2) / (fs * float(np.sum(w * w)))
+    if w.size % 2 == 0:
+        psd[..., 1:-1] *= 2.0
+    else:
+        psd[..., 1:] *= 2.0
+    return psd
+
+
+def window_samples(kind, n):
+    if kind == "rectangular":
+        return np.ones(n)
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+
+
+class TestBitIdenticalToOneShot:
+    """The in-place periodogram and the running Welch average against the
+    formulas applied to the whole record at once, bit for bit."""
+
+    @pytest.mark.parametrize("window", ["rectangular", "hann"])
+    @pytest.mark.parametrize("n", [3 * 2**16 + 5, 2**17 + 2])
+    def test_periodogram(self, window, n):
+        ts = TimeSeries(np.random.default_rng(n).normal(size=n), dt=1.0 / FS)
+        got = periodogram(ts, window)
+        ref = one_shot_psd(ts.samples, window_samples(window, n), ts.fs)
+        assert got.values.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("window, overlap", [("hann", 0.5), ("rectangular", 0.3)])
+    def test_welch(self, window, overlap):
+        # 2**16 + 777 samples: the last segment ends short of the record
+        n, seg = 2**16 + 777, 2**12
+        ts = TimeSeries(np.random.default_rng(4).normal(size=n), dt=1.0 / FS)
+        step = int(round(seg * (1.0 - overlap)))
+        segments = np.lib.stride_tricks.sliding_window_view(ts.samples, seg)[::step]
+        assert (n - seg) % step != 0 and segments.shape[0] > 15
+        ref = one_shot_psd(segments, window_samples(window, seg), ts.fs)
+        ref = ref.sum(axis=0) / segments.shape[0]
+        got = welch(ts, WelchConfig(seg, overlap, window))
+        assert got.values.tobytes() == ref.tobytes()
+        assert got.meta["segments"] == segments.shape[0]
+
+
 class TestDampedLineBroadening:
     def test_decay_spreads_and_displaces_fft_peaks(self, case2_full):
         # the 1800 Hz mode's nearest Fourier peak lands ~3 Hz off, while the

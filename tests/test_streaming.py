@@ -1,11 +1,13 @@
-"""Record-length arrays in ``hodmd``: the delay matrix by column blocks and
-the amplitude fit by row blocks.
+"""Record-length arrays in ``hodmd``: the delay matrix by column blocks, its
+right singular vectors by row blocks and the amplitude fit by row blocks.
 
 ``hodmd`` hands its delay-space reduction a ``decompose._DelayMatrix``; a
 wide one of more than one ``_BLOCK`` of columns is built a block at a time
-and never whole.  ``_fit_b`` reduces [design | rhs] by a running QR over
-blocks of ``_BLOCK`` snapshots.  Each is checked against the matrix built
-whole or the one-shot ``lstsq``, and by its tracemalloc peak.
+and never whole.  Its right singular vectors v are formed block by block
+from the Ritz factors and summed into the propagator (``_shift_core``).
+``_fit_b`` reduces [design | rhs] by a running QR over blocks of ``_BLOCK``
+snapshots.  Each is checked against the matrix built whole, v held whole
+or the one-shot ``lstsq``, and by its tracemalloc peak.
 """
 
 import math
@@ -27,6 +29,7 @@ from modespect import (
     decompose,
     hodmd,
     preset_components,
+    svd_econ,
     synth_decaying_sum,
     truncation_rank,
 )
@@ -159,6 +162,163 @@ class TestStreamedReductions:
         assert mode_fields(streamed) == mode_fields(hodmd(snap, cfg))
 
 
+def whole_core(s, v, shape):
+    """The propagator core M of hodmd from the kept triplets (s, v), v held
+    whole: the closed form, or lstsq at a gap of at most _GAP_MIN."""
+    above = np.count_nonzero(s > np.finfo(float).eps * max(shape) * s[0])
+    s, v = s[:above], v[:, :above]
+    c = v[-1].conj()
+    gap = 1.0 - np.vdot(c, c).real
+    if gap > decompose._GAP_MIN:
+        core = v[1:].conj().T @ v[:-1]
+        core += np.outer(core @ c, c.conj() / gap)
+        return core
+    xbar = s[:, None] * v.conj().T
+    return np.linalg.lstsq(xbar[:, :-1].T, xbar[:, 1:].T, rcond=None)[0].T * s / s[:, None]
+
+
+def whole_poles(data, d):
+    """Delay-space rank and propagator eigenvalues of ``hodmd`` under
+    Tolerance(1e-10), with every SVD by ``svd_econ`` of the matrix built
+    whole and the core formed from v held whole."""
+    tol = Tolerance(1e-10)
+    if data.shape[0] > 2:
+        sv = svd_econ(data)
+        r = truncation_rank(sv.singular_values, tol, data.shape)
+        data = sv.singular_values[:r, None] * sv.right_vectors[:, :r].conj().T
+    a = build_delay_embedding(data, d)
+    sv = svd_econ(a)
+    r = truncation_rank(sv.singular_values, tol, a.shape)
+    core = whole_core(sv.singular_values[:r], sv.right_vectors[:, :r], a.shape)
+    return r, np.linalg.eigvals(core)
+
+
+def assert_poles_match(dec, poles, rtol=1e-10):
+    """Each reported eigenvalue lies within rtol (relative) of a reference pole."""
+    for m in dec.modes:
+        assert np.min(np.abs(poles - m.eigenvalue)) <= rtol * abs(m.eigenvalue)
+
+
+def all_dense(monkeypatch):
+    """Make ``hodmd`` build every delay matrix whole and take every SVD dense."""
+    built_whole(monkeypatch)
+    monkeypatch.setattr(decompose, "_sketched_svd", lambda a, policy: None)
+    monkeypatch.setattr(decompose, "_blocked_svd", lambda a, policy: None)
+
+
+def multi_block_record(kind, channels, columns, d):
+    """A record whose delay matrix at depth d has ``columns`` columns."""
+    k = columns + d - 1
+    if channels == 1 and kind == "real":
+        clean = synth_decaying_sum(preset_components("paper-case-2"), fs=FS, n=k)
+        return clean.samples[None, :]
+    x = three_row_complex(k)[:channels]
+    return x if kind == "complex" else x.real
+
+
+class TestStreamedRightVectors:
+    """Delay matrices of 2 and 3 column blocks plus a ragged last one.
+
+    The reference builds every matrix whole, takes ``svd_econ`` and forms
+    the propagator from v held whole; the streamed run never holds v.
+    """
+
+    @pytest.mark.parametrize(
+        "kind, channels, columns, d, path",
+        [
+            ("real", 1, 2 * BLOCK + 1, 100, "sketched"),
+            ("real", 1, 3 * BLOCK + 2, 50, "blocked"),  # 50 rows: too few to sketch
+            ("complex", 1, 3 * BLOCK + 2, 100, "sketched"),
+            ("complex", 3, 2 * BLOCK + 1, 30, "sketched"),
+            ("real", 3, 3 * BLOCK + 2, 20, "blocked"),
+        ],
+    )
+    def test_hodmd_matches_whole_reference(
+        self, monkeypatch, kind, channels, columns, d, path
+    ):
+        # three channels also reduce the 3 x K snapshot matrix by the
+        # blocked pass, whose v fills the r x K reduced snapshots by blocks
+        data = multi_block_record(kind, channels, columns, d)
+        snap, cfg = SnapshotMatrix(data, DT), HodmdConfig(d=d, dt=DT)
+        paths = []
+        for name in ("_sketched_svd", "_blocked_svd"):
+            original = getattr(decompose, name)
+
+            def spy(a, policy, name=name, original=original):
+                found = original(a, policy)
+                if found is not None and a.shape[1] == columns:
+                    paths.append(name)
+                return found
+
+            monkeypatch.setattr(decompose, name, spy)
+        streamed = hodmd(snap, cfg)
+        assert paths == [f"_{path}_svd"]
+        rank, poles = whole_poles(data, d)
+        all_dense(monkeypatch)
+        dense = hodmd(snap, cfg)
+        assert streamed.ranks == dense.ranks and streamed.ranks[1] == rank
+        assert_poles_match(streamed, poles)
+
+    @pytest.mark.parametrize(
+        "kind, channels, columns, d",
+        [("real", 1, 2 * BLOCK + 1, 100), ("complex", 3, 3 * BLOCK + 2, 30)],
+    )
+    def test_lstsq_fallback_over_blocks(self, monkeypatch, kind, channels, columns, d):
+        # a gap of at most 2 takes the fallback everywhere: lstsq gets the
+        # R factor of the blocks' running QR, not K rows
+        data = multi_block_record(kind, channels, columns, d)
+        rank, poles = whole_poles(data, d)
+        designs = []
+        original = decompose.lstsq
+        monkeypatch.setattr(
+            decompose, "lstsq", lambda a, b: designs.append(a.shape) or original(a, b)
+        )
+        monkeypatch.setattr(decompose, "_GAP_MIN", 2.0)
+        dec = hodmd(SnapshotMatrix(data, DT), HodmdConfig(d=d, dt=DT))
+        assert designs == [(2 * rank, rank)]
+        assert dec.ranks[1] == rank
+        assert_poles_match(dec, poles)
+
+    def capture_cores(self, monkeypatch):
+        cores = []
+        eig = decompose.eig
+        monkeypatch.setattr(
+            decompose, "eig", lambda core, **kw: cores.append(core) or eig(core, **kw)
+        )
+        return cores
+
+    def test_saturated_segment_core_bit_identical(self, monkeypatch, case2_full):
+        # one block, dense SVD: the core is v[1:]^H v[:-1] of v held whole
+        clean = head(case2_full, 1024)
+        noisy = add_gaussian_noise(clean, 0.01 * peak_amplitude(clean), seed=1)
+        cores = self.capture_cores(monkeypatch)
+        with pytest.warns(RuntimeWarning, match="saturated"):
+            hodmd(build_snapshots(noisy), HodmdConfig(d=500, dt=DT))
+        sv = svd_econ(build_delay_embedding(noisy.samples[None, :], 500))
+        ref = whole_core(sv.singular_values, sv.right_vectors, (500, 525))
+        assert len(cores) == 1 and np.array_equal(cores[0], ref)
+
+    def test_glide_window_core_bit_identical(self, monkeypatch, case2_full):
+        # one block, sketched: v is the one QR of a^H q times vb, held whole
+        clean = head(case2_full, 1024)
+        noisy = add_gaussian_noise(clean, 0.01 * peak_amplitude(clean), seed=3)
+        optimal = OptimalHardThreshold()
+        cfg = HodmdConfig(d=500, dt=DT, spatial_policy=optimal, temporal_policy=optimal)
+        cores = self.capture_cores(monkeypatch)
+        sketches = []
+        ritz = decompose._ritz_triplets
+        monkeypatch.setattr(
+            decompose, "_ritz_triplets", lambda a, q, *rest: sketches.append((a, q)) or ritz(a, q, *rest)
+        )
+        dec = hodmd(build_snapshots(noisy), cfg)
+        (a, q), = sketches
+        z, rz = np.linalg.qr((q.conj().T @ a).conj().T)
+        _, s, vbh = np.linalg.svd(rz.conj().T)
+        r = dec.ranks[1]
+        ref = whole_core(s[:r], (z @ vbh.conj().T)[:, :r], a.shape)
+        assert len(cores) == 1 and np.array_equal(cores[0], ref)
+
+
 def one_shot_fit(shapes, lam, data):
     """The amplitude fit with its whole design matrix and one ``lstsq``.
 
@@ -267,18 +427,29 @@ def traced_peak(run, *args):
 
 class TestBoundedMemory:
     def test_case2_at_d200(self, case2_full):
-        # the 200 x 65,337 delay matrix alone takes 100 MiB
+        # the 200 x 65,337 delay matrix alone takes 100 MiB; the peak is
+        # 13.2 MiB, about two 200 x 4096 blocks, bounded with a 20% margin
         snap = build_snapshots(case2_full)
         dec, peak = traced_peak(hodmd, snap, HodmdConfig(d=200, dt=snap.dt))
         assert dec.ranks == (1, 6, 3)
-        assert peak < 40 * MIB
+        assert peak < 16 * MIB
 
     def test_case3_at_d100(self):
+        # measured peak 10.1 MiB, bounded with a 20% margin
         ts = synth_decaying_sum(preset_components("paper-case-3"), fs=FS, n=2**16)
         snap = build_snapshots(ts)
         dec, peak = traced_peak(hodmd, snap, HodmdConfig(d=100, dt=snap.dt))
         assert dec.ranks == (1, 16, 8)
-        assert peak < 40 * MIB
+        assert peak < 12 * MIB
+
+    def test_long_case2_below_one_k_by_width_array(self):
+        # 2**18 samples at d=200: one K x 16 array, as v or a^H q formed
+        # whole would be, takes 32 MiB; the measured peak is 13.4 MiB
+        ts = synth_decaying_sum(preset_components("paper-case-2"), fs=FS, n=2**18)
+        snap = build_snapshots(ts)
+        dec, peak = traced_peak(hodmd, snap, HodmdConfig(d=200, dt=snap.dt))
+        assert dec.ranks == (1, 6, 3)
+        assert peak < snap.n_snapshots * 16 * 8
 
     def test_fit_below_one_design_array(self):
         # 32 conjugate pairs on a real record: the complex design matrix of
