@@ -131,15 +131,19 @@ def truncation_rank(
     return max(rank, 1)
 
 
-def lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solution X of A @ X ~= B."""
+def lstsq(a: np.ndarray, b: np.ndarray, rcond: Optional[float] = None) -> np.ndarray:
+    """Minimum-norm least-squares solution X of A @ X ~= B.
+
+    Singular values of A at or below ``rcond`` times the largest are taken
+    as zero; the default is eps * max(A.shape), as for ``np.linalg.lstsq``.
+    """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 2:
         raise ValueError("A must be 2-D")
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"row counts disagree: A has {a.shape[0]}, B has {b.shape[0]}")
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
+    x, *_ = np.linalg.lstsq(a, b, rcond=rcond)
     return x
 
 

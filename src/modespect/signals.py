@@ -119,16 +119,16 @@ def add_gaussian_noise(ts: TimeSeries, sigma: float, seed: int) -> TimeSeries:
     the input unchanged.  Complex series get independent real and imaginary
     noise, each with standard deviation ``sigma``: the real parts of every
     sample first, then the imaginary parts.  The noise is drawn by blocks of
-    _BLOCK samples and added in place to a copy of the samples; PCG64 draws
-    the same stream in blocks as at once.
+    _BLOCK samples and added in place to a C-ordered copy of the samples;
+    PCG64 draws the same stream in blocks as at once.
     """
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be >= 0 and finite, got {sigma!r}")
     if sigma == 0:
         return ts
     rng = np.random.default_rng(seed)
-    out = ts.samples.astype(np.result_type(ts.samples, float))
-    flat = out.reshape(-1)
+    out = np.array(ts.samples, dtype=np.result_type(ts.samples, float), order="C")
+    flat = out.reshape(-1)  # a view, since out is C-contiguous
     for part in (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,):
         for lo in range(0, part.size, _BLOCK):
             block = part[lo : lo + _BLOCK]

@@ -27,3 +27,8 @@ def head(ts: TimeSeries, n: int) -> TimeSeries:
 
 def peak_amplitude(ts: TimeSeries) -> float:
     return float(np.max(np.abs(ts.samples)))
+
+
+def stacked(v) -> np.ndarray:
+    """Right singular vectors read by row blocks, stacked whole."""
+    return np.vstack(list(v.blocks())[::-1])

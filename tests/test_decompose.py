@@ -396,7 +396,9 @@ class TestPropagatorClosedForm:
         data += 0.01 * rng.standard_normal((8, 64))
         calls = []
         monkeypatch.setattr(
-            decompose, "lstsq", lambda a, b: calls.append(a.shape) or lstsq(a, b)
+            decompose,
+            "lstsq",
+            lambda a, b, **kw: calls.append(a.shape) or lstsq(a, b, **kw),
         )
         with pytest.warns(RuntimeWarning, match="saturated at 45/45"):
             dec = hodmd(SnapshotMatrix(data, DT), HodmdConfig(d=20, dt=DT))

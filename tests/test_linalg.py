@@ -170,6 +170,13 @@ class TestLstsq:
         with pytest.raises(ValueError):
             lstsq(np.ones((3, 2)), np.ones(4))
 
+    def test_rcond_drops_small_singular_values(self):
+        # diag(1, 1e-13): kept at the default cut-off, 2 eps; dropped at 1e-12
+        a = np.diag([1.0, 1e-13])
+        b = np.ones(2)
+        np.testing.assert_allclose(lstsq(a, b), [1.0, 1e13])
+        np.testing.assert_array_equal(lstsq(a, b, rcond=1e-12), [1.0, 0.0])
+
 
 class TestEig:
     def test_diagonal(self):

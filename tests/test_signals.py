@@ -175,13 +175,17 @@ class TestBlocksMatchOneShot:
         got = synth_decaying_sum(comps, fs=fs, n=self.N)
         assert got.samples.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("kind", ["real", "complex", "two-channel"])
+    @pytest.mark.parametrize(
+        "kind", ["real", "complex", "two-channel", "two-channel-fortran"]
+    )
     def test_noise(self, kind):
         rng = np.random.default_rng(2)
-        shape = (2, self.N) if kind == "two-channel" else (self.N,)
+        shape = (2, self.N) if kind.startswith("two-channel") else (self.N,)
         samples = rng.normal(size=shape)
         if kind == "complex":
             samples = samples + 1j * rng.normal(size=shape)
+        if kind == "two-channel-fortran":
+            samples = np.asfortranarray(samples)
         ts = TimeSeries(samples, dt=1.0)
         before = samples.copy()
         draw = np.random.default_rng(9)

@@ -35,7 +35,7 @@ from modespect import (
 )
 from modespect.decompose import _DelayMatrix, _column_blocks, _fit_b, _power_table
 
-from conftest import head, peak_amplitude
+from conftest import head, peak_amplitude, stacked
 
 FS = 25_000.0
 DT = 1.0 / FS
@@ -105,13 +105,18 @@ class TestStreamedReductions:
     def operands(self, x, d):
         return _DelayMatrix(x, d), build_delay_embedding(x, d)
 
+    def same(self, fast, ref):
+        """(values, u, s, v) equal bit for bit, v stacked from its row blocks."""
+        fast, ref = (*fast[:3], stacked(fast[3])), (*ref[:3], stacked(ref[3]))
+        return all(np.array_equal(a, b) for a, b in zip(fast, ref))
+
     @pytest.mark.parametrize("policy", [Tolerance(1e-10), FixedCount(6)])
     def test_sketch(self, case2_full, policy):
         x = head(case2_full, 2 * BLOCK + 900).samples[None, :]
         stream, whole = self.operands(x, 200)
         fast, ref = decompose._sketched_svd(stream, policy), decompose._sketched_svd(whole, policy)
         assert fast is not None and ref is not None
-        assert all(np.array_equal(a, b) for a, b in zip(fast, ref))
+        assert self.same(fast, ref)
         assert truncation_rank(fast[0], policy, stream.shape) == 6
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -123,7 +128,7 @@ class TestStreamedReductions:
             stream, whole = self.operands(three_row_complex(2 * BLOCK + 200), 30)
         policy = Tolerance(1e-10)
         fast, ref = decompose._blocked_svd(stream, policy), decompose._blocked_svd(whole, policy)
-        assert all(np.array_equal(a, b) for a, b in zip(fast, ref))
+        assert self.same(fast, ref)
         assert truncation_rank(fast[0], policy, stream.shape) == (16 if kind == "real" else 3)
 
     def test_optimal_gram_over_column_blocks(self):
@@ -271,13 +276,49 @@ class TestStreamedRightVectors:
         designs = []
         original = decompose.lstsq
         monkeypatch.setattr(
-            decompose, "lstsq", lambda a, b: designs.append(a.shape) or original(a, b)
+            decompose,
+            "lstsq",
+            lambda a, b, **kw: designs.append(a.shape) or original(a, b, **kw),
         )
         monkeypatch.setattr(decompose, "_GAP_MIN", 2.0)
         dec = hodmd(SnapshotMatrix(data, DT), HodmdConfig(d=d, dt=DT))
         assert designs == [(2 * rank, rank)]
         assert dec.ranks[1] == rank
         assert_poles_match(dec, poles)
+
+    def test_lstsq_fallback_cut_off_of_the_whole_design(self, monkeypatch):
+        # v's last row holds all but 1e-8 of its last column, so the gap is
+        # ~1e-8 and the fallback runs.  The design v[:-1] diag(s) over two
+        # blocks and a row has the singular values s * [1, 1, 1, 1, 1e-4]:
+        # its last, 1e-13, lies above eps * 2r, the default cut-off of the
+        # 2r x r R factor, but below eps * (K - 1), that of the whole design,
+        # so the one-shot lstsq drops it and so must the blocked one
+        k, r = 2 * BLOCK + 1, 5
+        g = np.random.default_rng(4).normal(size=(k, r))
+        g[-1] = 0.0
+        g[:, -1] *= 1e-4 / np.linalg.norm(g[:, -1])
+        g[-1, -1] = 1.0
+        v = np.linalg.qr(g)[0]
+        s = np.array([1.0, 0.5, 0.2, 0.1, 1e-9])
+        eps = np.finfo(float).eps
+        low = np.linalg.svd(v[:-1] * s, compute_uv=False)[-1]
+        assert eps * 2 * r < low < eps * (k - 1)
+
+        def blocks(cols):
+            for lo in range(0, k, BLOCK)[::-1]:
+                yield v[lo : lo + BLOCK, :cols]
+
+        designs = []
+        original = decompose.lstsq
+        monkeypatch.setattr(
+            decompose,
+            "lstsq",
+            lambda a, b, **kw: designs.append(a.shape) or original(a, b, **kw),
+        )
+        core = decompose._shift_core(decompose._RightVectors((k, r), v.dtype, blocks), s)
+        ref = whole_core(s, v, (r, k))
+        assert designs == [(2 * r, r)]
+        assert np.max(np.abs(core - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def capture_cores(self, monkeypatch):
         cores = []

@@ -37,7 +37,7 @@ from modespect import (
     truncation_rank,
 )
 
-from conftest import head, peak_amplitude
+from conftest import head, peak_amplitude, stacked
 
 FS = 25_000.0
 OPTIMAL = OptimalHardThreshold()
@@ -333,7 +333,7 @@ def test_blocked_svd_matches_lapack(monkeypatch, case3_signal, kind, policy):
     monkeypatch.setattr(decompose, "_sketched_svd", lambda a, policy: None)
     monkeypatch.setattr(decompose, "_blocked_svd", spy)
     r, u, s, v = decompose._truncated_svd(a, policy)
-    v = np.asarray(v)  # formed by row blocks from the Ritz factors
+    v = stacked(v)  # formed by row blocks from the Ritz factors
     assert blocked == [True]
     ref = svd_econ(a)
     values = ref.singular_values
