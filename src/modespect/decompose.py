@@ -52,8 +52,6 @@ _ZERO_EIG_TOL = 1e-12
 _LOG_RANGE = 600.0
 # condition number of the amplitude fit above which a warning is emitted
 _COND_WARN = 1e12
-# integer powers below which numpy's complex power multiplies (see _power_table)
-_CPOW_BINARY = 100
 # subspace iteration for the leading singular triplets: fixed seed of the
 # random start, oversampling beyond the kept rank, relative Ritz-value
 # agreement that stops it, and its pass cap
@@ -66,7 +64,8 @@ _MAX_PASSES = 40
 _SKETCH_WIDTH = 16
 _SKETCH_FRACTION = 4
 # columns per block of a delay matrix, and snapshots per block of the
-# amplitude fit, so neither forms a long-side array
+# amplitude fit, so neither forms a long-side array; a power of two, as
+# _power_blocks reaches lam**_BLOCK by squaring
 _BLOCK = 4096
 # rows per block of the short-side Gram matrix
 _GRAM_BLOCK = 128
@@ -260,30 +259,29 @@ def eigenvalue_to_rates(mu: complex, dt: float) -> tuple[float, float]:
     return delta, angle / dt
 
 
-def _power_table(lam: np.ndarray, k: int, start: int = 0) -> np.ndarray:
-    """lam_m**j for j = start .. start+k-1 as a (modes, k) array.
+def _power_blocks(lam: np.ndarray, k: int):
+    """lam_m**j for j = 0 .. k-1 as (modes, <= _BLOCK) blocks, first to last.
 
-    Equal bit for bit, signed zeros included, to ``lam[:, None] **
-    np.arange(start, start + k)``, so a block of rows is the matching
-    columns of the full table; but powers from _CPOW_BINARY up cost one
-    complex log per mode and one exp per element instead of a libm cpow per
-    element.
+    Every power is a product, off by about j * eps relative (Higham 2002,
+    sec. 3.1): in the first block columns [h, 2h) are columns [0, h) times
+    lam**h, found by squaring, and each later block is the one before times
+    the last square, lam**_BLOCK.  So a real eigenvalue keeps real powers,
+    a zero one gives 1, 0, 0, ..., and no power past lam**(k-1) is formed
+    to overflow beyond the _LOG_RANGE cap.
     """
-    j = np.arange(start, start + k)
-    if not np.iscomplexobj(lam):
-        return lam[:, None] ** j
-    # numpy's npy_cpow takes an integer power |k| < 100 by binary powering
-    # and hands larger ones to the C library's cpow, which glibc defines as
-    # cexp(k * clog(lam)); the table repeats both rules
-    table = np.empty((lam.size, k), dtype=complex)
-    head = min(k, max(_CPOW_BINARY - start, 0))
-    np.power(lam[:, None], j[:head], out=table[:, :head])
-    tail = table[:, head:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.multiply(np.log(lam)[:, None], j[head:].astype(complex), out=tail)
-        np.exp(tail, out=tail)
-    tail[lam == 0] = 0.0  # npy_cpow gives +0 for a zero base; cexp gives -0
-    return table
+    n = min(k, _BLOCK)
+    block = np.empty((lam.size, n), dtype=np.result_type(lam, 1.0))
+    block[:, 0] = 1.0
+    step, h = lam[:, None], 1  # lam**h
+    while h < n:
+        np.multiply(block[:, : min(h, n - h)], step, out=block[:, h : 2 * h])
+        h *= 2
+        if h < k:
+            step = step * step
+    yield block
+    for k0 in range(_BLOCK, k, _BLOCK):
+        block = block[:, : k - k0] * step
+        yield block
 
 
 def _column_norms(p: np.ndarray) -> np.ndarray:
@@ -311,30 +309,20 @@ def _fit_b(
     sqrt(2) Im(g) y_im, so the fit runs in real arithmetic over two columns
     per pair and Re(g) per real eigenvalue.  That is a unitary change of
     unknowns: the solution and the singular values are those of the complex
-    fit over both members.  The design matrix is never built whole: [design
-    | rhs] is formed by blocks of _BLOCK snapshots, and a running QR of the
-    rows so far (TSQR) reduces it to its R factor once a second block
-    arrives.  ``lstsq`` then takes the minimum-norm solution and the rank
-    from that factor, or from the one block itself, with the cut-off gelsd
-    applies to the whole design, eps * max(rows, columns).  The condition
-    estimate is the ratio of the scaled design matrix's extreme singular
-    values.  An ill-conditioned system also warns with both.
+    fit over both members.  The design matrix is never built whole: two
+    walks of :func:`_power_blocks` give the powers, one for the column
+    norms and one for the design; [design | rhs] is formed by blocks of
+    _BLOCK snapshots, and a running QR of the rows so far (TSQR) reduces it
+    to its R factor once a second block arrives.  ``lstsq`` then takes the
+    minimum-norm solution and the rank from that factor, or from the one
+    block itself, with the cut-off gelsd applies to the whole design, eps *
+    max(rows, columns).  The condition estimate is the ratio of the scaled
+    design matrix's extreme singular values.  An ill-conditioned system
+    also warns with both.
     """
     m, k = data.shape
     n = lam.size
-    starts = range(0, k, _BLOCK)
-    # a real eigenvalue has real powers; exp(k log lam) leaves rounding in
-    # the imaginary part of a negative one
-    on_axis = lam.imag == 0 if np.iscomplexobj(lam) else None
-
-    def powers(k0: int) -> np.ndarray:
-        p = _power_table(lam, min(_BLOCK, k - k0), k0).T  # (rows, n)
-        if on_axis is not None:
-            p[:, on_axis] = _power_table(lam.real[on_axis], p.shape[0], k0).T
-        return p
-
-    first = powers(0)  # kept: a record of one block takes its powers once
-    norms = np.array([_column_norms(powers(k0) if k0 else first) for k0 in starts])
+    norms = np.array([_column_norms(p.T) for p in _power_blocks(lam, k)])
     top = norms.max(axis=0)  # >= 1, as lam**0 = 1
     scale = top * np.linalg.norm(norms / top, axis=0) * np.linalg.norm(shapes, axis=0)
     scale[scale == 0] = 1.0  # a zero shape keeps its zero column
@@ -344,8 +332,8 @@ def _fit_b(
     pair = _pair_sides(lam) != 0
     root2 = math.sqrt(2.0)
     design = rhs = None
-    for k0 in starts:
-        p = powers(k0) if k0 else first
+    for k0, p in zip(range(0, k, _BLOCK), _power_blocks(lam, k)):
+        p = p.T  # (rows, n)
         a = (p[:, None, :] * unit[None, :, :]).reshape(p.shape[0] * m, n)
         y = data[:, k0 : k0 + p.shape[0]].T.reshape(-1)
         if real:
@@ -515,15 +503,6 @@ def _report_modes(
     return lam, shapes, b, modes
 
 
-def _mode_signal(
-    shapes: np.ndarray, lam: np.ndarray, b: np.ndarray, n: int, start: int = 0
-) -> np.ndarray:
-    """sum_m shape_m * lam_m**k * b_m for k = start .. start+n-1; (channels, n)."""
-    powers = _power_table(lam, n, start)
-    powers *= b[:, None]
-    return shapes @ powers
-
-
 def reconstruct(dec: Decomposition, n_samples: int) -> TimeSeries:
     """Time series regenerated from a decomposition's reported modes."""
     if not dec.modes:
@@ -531,7 +510,8 @@ def reconstruct(dec: Decomposition, n_samples: int) -> TimeSeries:
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     *_, lam, b, shapes = _mode_columns(dec.modes)
-    samples = _mode_signal(shapes, lam, b, n_samples)
+    weights = shapes * b
+    samples = np.hstack([weights @ p for p in _power_blocks(lam, n_samples)])
     if dec.real_input:
         samples = samples.real
     if samples.shape[0] == 1:
@@ -544,20 +524,21 @@ def _relative_errors(
 ) -> tuple[float, float]:
     """relative_rms_error and relative_max_error of the modes' reconstruction.
 
-    The reconstruction is formed by blocks of _BLOCK snapshots and dropped,
-    so no modes x K power table is formed: the peak of the data, the sums
-    of squares and the largest deviation are taken block by block.  A record
-    of one block gets the two functions' results bit for bit; longer ones
-    add the blocks' sums of squares.
+    The reconstruction is formed from the blocks of :func:`_power_blocks`
+    and dropped, so no modes x K power table is formed: the peak of the
+    data, the sums of squares and the largest deviation are taken block by
+    block.  A record of one block gets the two functions' results on that
+    reconstruction bit for bit; longer ones add the blocks' sums of squares.
     """
     k = data.shape[1]
     starts = range(0, k, _BLOCK)
     peak = max(float(np.max(np.abs(data[:, k0 : k0 + _BLOCK]))) for k0 in starts)
     scale = 2.0 ** (math.frexp(peak)[1] - 1)  # as relative_rms_error scales
     err = ref = worst = 0.0
-    for k0 in starts:
+    weights = shapes * b
+    for k0, p in zip(starts, _power_blocks(lam, k)):
         block = data[:, k0 : k0 + _BLOCK]
-        recon = _mode_signal(shapes, lam, b, block.shape[1], k0)
+        recon = weights @ p
         if not np.iscomplexobj(data):
             recon = recon.real
         worst = max(worst, float(np.max(np.abs(block - recon))))
@@ -710,6 +691,7 @@ def _power_pass(a, q: np.ndarray):
         tops.append(r)
         r = np.linalg.qr(np.vstack([r, c]), mode="r")
         y = y + b @ c
+        del b, c  # or they are still held while the next block is built
     return r, y, tops
 
 
@@ -730,6 +712,7 @@ def _short_side_gram(a) -> np.ndarray:
                 np.matmul(b[i:j].conj(), b[:j].T, out=g[i:j, :j])
             else:
                 g[i:j, :j] += b[i:j].conj() @ b[:j].T
+        del b
     return g
 
 
@@ -859,6 +842,7 @@ def _ritz_triplets(a, q: np.ndarray, r: np.ndarray, tops: list):
             yield (z[top:] @ w)[:, :cols]
             if i:
                 w = z[:top] @ w
+            del c, z
 
     shape = (a.shape[1], vb.shape[1])
     return q @ ub, s, _RightVectors(shape, np.result_type(a.dtype, q.dtype), blocks)
@@ -883,6 +867,7 @@ def _blocked_svd(a, policy: TruncationPolicy):
     r = np.zeros((0, a.shape[0]), dtype=np.result_type(a.dtype, np.float32))
     for b in _column_blocks(a):
         r = np.linalg.qr(np.vstack([r, b.conj().T]), mode="r")
+        del b
     ur, values, _ = np.linalg.svd(r.conj().T)
     if values[0] == 0:
         return None
@@ -1014,21 +999,22 @@ def hodmd(x: SnapshotMatrix, cfg: HodmdConfig) -> Decomposition:
     columns is built only by column blocks, except for the dense SVD.  Its
     right singular vectors v are read by row blocks and never held whole;
     the amplitude fit (:func:`_fit_b`) and the reconstruction errors
-    (:func:`_relative_errors`) go by blocks of snapshots.  So apart from
-    the input and the spatial reduction's r x K ``reduced``, no array grows
-    with K.  A delay-space rank equal to min(shape) at d > 1 emits a
-    ``RuntimeWarning``: every singular value was kept.  The propagator is
-    the least-squares one over the kept triplets above eps * max(shape) *
-    sigma_1, taken in closed form from their right singular vectors v: it
-    is S M S^-1 with M = v[1:]^H v[:-1] (I + c c^H / gap), c = conj(v[-1])
-    and gap = 1 - |c|^2, so ``eig(M)`` gives its eigenvalues and S times
-    M's eigenvectors its own (Schmid 2010, applied to the reduction of Le
-    Clainche & Vega 2017).  A gap at or below _GAP_MIN, as when the kept
-    rank equals the column count, takes ``lstsq`` instead
-    (:func:`_shift_core`).  With one spatial row every shape is that
-    row's basis vector, so only eigenvalues are computed.  Data with a
-    non-finite sample or only zeros raises ``DegenerateInputError`` before
-    any other check.
+    (:func:`_relative_errors`) go by blocks of snapshots, whose eigenvalue
+    powers are products formed block by block (:func:`_power_blocks`).  So
+    apart from the input and the spatial reduction's r x K ``reduced``, no
+    array grows with K.  A delay-space rank equal to min(shape) at d > 1
+    emits a ``RuntimeWarning``: every singular value was kept.  The
+    propagator is the least-squares one over the kept triplets above eps *
+    max(shape) * sigma_1, taken in closed form from their right singular
+    vectors v: it is S M S^-1 with M = v[1:]^H v[:-1] (I + c c^H / gap),
+    c = conj(v[-1]) and gap = 1 - |c|^2, so ``eig(M)`` gives its
+    eigenvalues and S times M's eigenvectors its own (Schmid 2010, applied
+    to the reduction of Le Clainche & Vega 2017).  A gap at or below
+    _GAP_MIN, as when the kept rank equals the column count, takes
+    ``lstsq`` instead (:func:`_shift_core`).  With one spatial row every
+    shape is that row's basis vector, so only eigenvalues are computed.
+    Data with a non-finite sample or only zeros raises
+    ``DegenerateInputError`` before any other check.
     """
     data = x.data
     _check_samples(data)

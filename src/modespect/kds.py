@@ -31,6 +31,8 @@ _KERNELS = ("gaussian", "lorentz")
 _WEIGHTINGS = ("density", "power", "time_constant")
 # half-width, in bandwidths h, outside which the Gaussian kernel is not evaluated
 _GAUSS_SUPPORT = 40.0
+# grid points above which a grid is refused: 512 MiB per float64 array
+_MAX_GRID_POINTS = 2**26
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,12 @@ class FrequencyGrid:
             raise ValueError("f_min must be below f_max")
         if self.step <= 0:
             raise ValueError("step must be positive")
+        points = (self.f_max - self.f_min) / self.step + 1
+        if not points <= _MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid of {points:.4g} points exceeds {_MAX_GRID_POINTS}; give a"
+                " coarser --grid, or a finite --tau-max"
+            )
 
     def frequencies(self) -> np.ndarray:
         n = int(math.floor((self.f_max - self.f_min) / self.step + 1e-9)) + 1

@@ -348,6 +348,27 @@ class TestSpectrum:
         assert code == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kernel, h", [("lorentz", "1"), ("gaussian", "1e-9")], ids=["lorentz", "gaussian"]
+    )
+    def test_default_grid_too_fine_exit_2(self, tmp_path, capsys, kernel, h):
+        # a steady tone decomposes with a growth rate near 1e-9 1/s; its
+        # default grid would take 9.45e12 (Lorentz) or 1e12 (Gaussian) points
+        modes_csv = tmp_path / "steady_modes.csv"
+        modes_csv.write_text(
+            "# dt=4e-05\nfrequency_hz,growth_rate\n"
+            "1800,-100,1,0,1,0\n2000,-1e-09,1,0,1,0\n"
+        )
+        out = tmp_path / "s.csv"
+        code = run(
+            "spectrum", "--in", str(modes_csv), "--kernel", kernel, "--h", h,
+            "--out", str(out),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "points exceeds" in err
+        assert not out.exists()
+
     def lorentz(self, tmp_path, modes_csv, name, *extra):
         out = tmp_path / f"{name}.csv"
         code = run(

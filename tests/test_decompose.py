@@ -32,13 +32,14 @@ from modespect import (
     synth_decaying_sum,
 )
 from modespect import decompose
-from modespect.decompose import _fit_b, _merge_duplicates, _power_table
+from modespect.decompose import _fit_b, _merge_duplicates, _power_blocks
 from modespect.linalg import eig as linalg_eig, lstsq
 
 from conftest import head, peak_amplitude
 
 FS = 25_000.0
 DT = 1.0 / FS
+BLOCK = decompose._BLOCK
 
 
 def make_mode(eigenvalue, shape, amplitude=0.0, phase=0.0, dt=DT):
@@ -280,43 +281,116 @@ def assert_bitwise_equal(got, expected):
         assert np.array_equal(np.signbit(part(got)), np.signbit(part(expected)))
 
 
+def walk(lam, k):
+    """The powers lam**j, j < k, of ``_power_blocks`` stacked into one table."""
+    return np.hstack(list(_power_blocks(lam, k)))
+
+
+def running_product(lam, k):
+    """lam**j for j < k as a running product in extended precision."""
+    lam = lam.astype(np.clongdouble)
+    table = np.empty((lam.size, k), dtype=np.clongdouble)
+    p = np.ones(lam.size, dtype=np.clongdouble)
+    for j in range(k):
+        table[:, j] = p
+        p = p * lam
+    return table
+
+
+def power_error(table, exact):
+    """Largest error relative to the exact power, or to the smallest normal
+    float where the power underflows."""
+    den = np.maximum(np.abs(exact), np.finfo(float).tiny)
+    return float(np.max(np.abs(table.astype(np.clongdouble) - exact) / den))
+
+
+def within_range(lam, k):
+    """The poles whose powers stay finite over k snapshots, as hodmd keeps them."""
+    mag = np.abs(lam)
+    with np.errstate(divide="ignore"):
+        return lam[(k - 1) * np.log(np.where(mag > 0, mag, 1.0)) < decompose._LOG_RANGE]
+
+
 class TestPowerTable:
+    """``_power_blocks``: every power a product, walked by blocks."""
+
     @pytest.mark.skipif(
-        platform.libc_ver()[0] != "glibc", reason="cpow is cexp(k clog z) in glibc"
+        platform.libc_ver()[0] != "glibc" or np.finfo(np.longdouble).eps > 1e-18,
+        reason="the bound is glibc's cpow; the reference needs extended precision",
     )
-    @pytest.mark.parametrize("k", [1, 99, 100, 101, 1024])
+    @pytest.mark.parametrize("k", [1, 99, 100, 101, 1024, 4097, 2 * 4096 + 37])
     def test_complex_table_matches_power_operator(self, k):
-        lam = edge_eigenvalues()
-        with np.errstate(over="ignore"):
-            expected = lam[:, None] ** np.arange(k)
-            got = _power_table(lam, k)
-        assert_bitwise_equal(got, expected)
+        # at least as close to the exact powers as lam ** j, which binary
+        # powering gives below j = 100 and glibc's cexp(j clog lam) from there
+        rng = np.random.default_rng(5)
+        extra = np.exp(rng.uniform(-0.05, 0.05, 100) + 1j * rng.uniform(-np.pi, np.pi, 100))
+        lam = within_range(np.r_[edge_eigenvalues(), extra], k)
+        exact = running_product(lam, k)
+        with np.errstate(all="ignore"):
+            bound = power_error(lam[:, None] ** np.arange(k), exact)
+        assert power_error(walk(lam, k), exact) <= bound
 
     @pytest.mark.parametrize(
         "start, k", [(0, 4096), (1, 150), (60, 40), (99, 3), (100, 7), (4096, 4096), (8192, 37)]
     )
     def test_block_is_the_columns_of_the_full_table(self, start, k):
+        # a record of start + k snapshots gets the powers of a longer one,
+        # across a block boundary, bit for bit
         lam = edge_eigenvalues()
         real = np.array([0.99, -0.5, 1.0, -1.0, 0.0, -0.0, 1e-300, 0.9999])
-        with np.errstate(over="ignore"):
-            for poles in (lam, real):
-                full = _power_table(poles, start + k)
-                assert_bitwise_equal(_power_table(poles, k, start), full[:, start:])
+        longer = start + k + BLOCK + 5
+        for poles in (within_range(lam, longer), real):
+            blocks = list(_power_blocks(poles, start + k))
+            assert [b.shape[1] for b in blocks] == [
+                min(BLOCK, start + k - k0) for k0 in range(0, start + k, BLOCK)
+            ]
+            full = walk(poles, longer)
+            assert_bitwise_equal(np.hstack(blocks)[:, start:], full[:, start : start + k])
 
     def test_no_temporary_beside_the_table(self):
+        # a reader that drops each block holds at most two: the one it read
+        # and the one built from it, plus numpy's 128 KiB ufunc buffer
         lam = edge_eigenvalues()[-40:]
         tracemalloc.start()
-        table = _power_table(lam, 2**15)
+        for block in _power_blocks(lam, 2**15):
+            size = block.nbytes
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert peak < 1.05 * table.nbytes
+        assert size == lam.size * BLOCK * 16
+        assert peak < 2 * size + 2**18
 
     def test_real_eigenvalues_keep_a_float_table(self):
         lam = np.array([0.99, -0.5, 1.0, -1.0, 0.0, -0.0, 1e-300])
-        for k in (1, 150):
-            got = _power_table(lam, k)
+        for k in (1, 150, BLOCK + 3):
+            got = walk(lam, k)
             assert got.dtype == np.float64
-            assert_bitwise_equal(got, lam[:, None] ** np.arange(k))
+            np.testing.assert_allclose(got, lam[:, None] ** np.arange(k), rtol=1e-13)
+
+    def test_unit_poles_are_exact(self):
+        k = 2 * BLOCK + 37
+        lam = np.array([1, -1, 1j, -1j])
+        expected = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1j, -1, -1j], [1, -1j, -1, 1j]])
+        assert np.array_equal(walk(lam, k), np.tile(expected, k // 4 + 1)[:, :k])
+
+    def test_zero_pole_gives_one_then_zeros(self):
+        k = BLOCK + 9
+        for lam in (np.zeros(1), np.zeros(1, dtype=complex), np.array([complex(-0.0, -0.0)])):
+            assert np.array_equal(walk(lam, k), np.r_[1.0, np.zeros(k - 1)][None, :])
+
+    def test_real_axis_entry_of_complex_poles_stays_real(self):
+        lam = np.array([-0.999, 0.9 + 0.2j, -1.0001, 0.5, -0.5j], dtype=complex)
+        table = walk(lam, 2 * BLOCK + 37)
+        assert np.all(table[[0, 2, 3]].imag == 0)
+        assert np.any(table[1].imag != 0)
+
+    @pytest.mark.parametrize("k", [600, 2 * BLOCK + 37])
+    def test_no_power_past_the_record(self, k):
+        # |mu|**(k-1) = e**599, under the cap: lam**1024 after the first
+        # block's doubling, or a block past the record, would overflow
+        mu = np.array([cmath.exp(599 / (k - 1) + 0.3j), math.exp(599 / (k - 1))])
+        with np.errstate(all="raise"):
+            table = walk(mu, k)
+        assert table.shape == (2, k) and np.all(np.isfinite(table))
 
 
 class TestAmplitudeRank:
@@ -359,7 +433,9 @@ class TestScaledAmplitudeFit:
         # |mu|**(k-1) = e**590: the column's squares overflow, its peak does not
         mu = cmath.exp(590 / 1023 + 0.3j)
         data = (0.5 * mu ** np.arange(1024))[None, :]
-        b = fit_amplitudes([make_mode(mu, [1.0])], SnapshotMatrix(data, DT))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = fit_amplitudes([make_mode(mu, [1.0])], SnapshotMatrix(data, DT))
         assert b[0] == pytest.approx(0.5, rel=1e-9)
 
 
@@ -392,7 +468,7 @@ class TestPropagatorClosedForm:
         rng = np.random.default_rng(0)
         lam = np.exp((-20.0 + 2j * np.pi * np.array([900.0, 2100.0, 3700.0])) * DT)
         shapes = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-        data = 2 * np.real(shapes @ _power_table(lam, 64))
+        data = 2 * np.real(shapes @ lam[:, None] ** np.arange(64))
         data += 0.01 * rng.standard_normal((8, 64))
         calls = []
         monkeypatch.setattr(

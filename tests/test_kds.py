@@ -59,6 +59,36 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError):
             FrequencyGrid(0.0, math.inf, 1.0)
 
+    def test_grid_above_the_point_cap(self):
+        FrequencyGrid(0.0, 1.0, 1.0 / (2**26 - 1))  # 2**26 points
+        with pytest.raises(ValueError, match="--grid"):
+            FrequencyGrid(0.0, 1.0, 1.0 / 2**26)
+        with pytest.raises(ValueError, match="points exceeds"):
+            FrequencyGrid(-1e308, 1e308, 1e-300)
+
+
+def steady_beside_decaying():
+    """1,800 Hz at -100 1/s and a steady-looking 2,000 Hz at -1e-9 1/s."""
+    return [mode(1800.0, damping=100.0), mode(2000.0, damping=1e-9)]
+
+
+class TestDefaultGridTooFine:
+    # the default grids ask for 9.45e12 and 1e12 points: refused before any
+    # array is allocated
+    def test_lorentz(self):
+        with pytest.raises(ValueError, match=r"9\.45\d*e\+12 points.*--tau-max"):
+            kds_lorentz(steady_beside_decaying(), KdsConfig(kernel="lorentz", h=1.0))
+
+    def test_gaussian(self):
+        cfg = KdsConfig(kernel="gaussian", h=1e-9)
+        with pytest.raises(ValueError, match=r"1e\+12 points.*--grid"):
+            kds_gaussian(steady_beside_decaying(), cfg)
+
+    def test_finite_tau_max_gives_a_usable_grid(self):
+        cfg = KdsConfig(kernel="lorentz", h=1.0, tau_max=1.0)
+        spec = kds_lorentz(steady_beside_decaying(), cfg)
+        assert spec.frequencies.size < 2**26
+
 
 class TestGaussianKds:
     def test_single_mode_peak_and_one_sigma_point(self):

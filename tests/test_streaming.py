@@ -33,7 +33,7 @@ from modespect import (
     synth_decaying_sum,
     truncation_rank,
 )
-from modespect.decompose import _DelayMatrix, _column_blocks, _fit_b, _power_table
+from modespect.decompose import _DelayMatrix, _column_blocks, _fit_b, _power_blocks
 
 from conftest import head, peak_amplitude, stacked
 
@@ -52,7 +52,7 @@ def three_row_complex(k):
     rng = np.random.default_rng(11)
     lam = poles([700.0, 2100.0, -4300.0])
     shapes = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    return shapes @ _power_table(lam, k)
+    return shapes @ lam[:, None] ** np.arange(k)
 
 
 def mode_fields(dec):
@@ -361,15 +361,14 @@ class TestStreamedRightVectors:
 
 
 def one_shot_fit(shapes, lam, data):
-    """The amplitude fit with its whole design matrix and one ``lstsq``.
+    """The amplitude fit with its whole design matrix and one ``lstsq``, on
+    the powers of ``_power_blocks`` stacked whole.
 
     For real data each non-real eigenvalue stands for its conjugate pair and
     takes two real columns, sqrt(2) Re(g) and -sqrt(2) Im(g).
     """
     m, k = data.shape
-    powers = (lam[:, None] ** np.arange(k)).T
-    on_axis = lam.imag == 0
-    powers[:, on_axis] = (lam.real[on_axis, None] ** np.arange(k)).T
+    powers = np.hstack(list(_power_blocks(lam, k))).T
     peak = np.abs(powers).max(axis=0)
     scale = peak * np.linalg.norm(powers / peak, axis=0)
     scale *= np.linalg.norm(shapes, axis=0)
@@ -404,7 +403,7 @@ class TestBlockedFit:
             columns = 6
         b = rng.normal(size=6) + 1j * rng.normal(size=6)
         shapes = np.ones((1, lam.size), dtype=complex)
-        data = shapes @ (_power_table(lam, k) * b[:, None])
+        data = shapes @ (lam[:, None] ** np.arange(k) * b[:, None])
         if kind == "real":
             data = data.real
         data = data + 1e-3 * rng.normal(size=data.shape)
@@ -436,7 +435,7 @@ class TestBlockedFit:
         lam = np.array([mu, np.exp(0.2j)])  # two conjugate pairs
         k = 4 * BLOCK + 5
         shapes = np.ones((1, 2), dtype=complex)
-        data = 2.0 * np.real(_power_table(lam, k).sum(axis=0))[None, :]
+        data = 2.0 * np.real((lam[:, None] ** np.arange(k)).sum(axis=0))[None, :]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             b, cond, rank = _fit_b(shapes, lam, data)
@@ -468,24 +467,25 @@ def traced_peak(run, *args):
 
 class TestBoundedMemory:
     def test_case2_at_d200(self, case2_full):
-        # the 200 x 65,337 delay matrix alone takes 100 MiB; the peak is
-        # 13.2 MiB, about two 200 x 4096 blocks, bounded with a 20% margin
+        # the 200 x 65,337 delay matrix alone takes 100 MiB; the measured
+        # peak is 7.9 MiB, one 6.25 MiB 200 x 4096 block and the small
+        # factors, bounded with a 20% margin
         snap = build_snapshots(case2_full)
         dec, peak = traced_peak(hodmd, snap, HodmdConfig(d=200, dt=snap.dt))
         assert dec.ranks == (1, 6, 3)
-        assert peak < 16 * MIB
+        assert peak < 9.5 * MIB
 
     def test_case3_at_d100(self):
-        # measured peak 10.1 MiB, bounded with a 20% margin
+        # measured peak 9.7 MiB, bounded with a 20% margin
         ts = synth_decaying_sum(preset_components("paper-case-3"), fs=FS, n=2**16)
         snap = build_snapshots(ts)
         dec, peak = traced_peak(hodmd, snap, HodmdConfig(d=100, dt=snap.dt))
         assert dec.ranks == (1, 16, 8)
-        assert peak < 12 * MIB
+        assert peak < 11.6 * MIB
 
     def test_long_case2_below_one_k_by_width_array(self):
         # 2**18 samples at d=200: one K x 16 array, as v or a^H q formed
-        # whole would be, takes 32 MiB; the measured peak is 13.4 MiB
+        # whole would be, takes 32 MiB; the measured peak is 8.1 MiB
         ts = synth_decaying_sum(preset_components("paper-case-2"), fs=FS, n=2**18)
         snap = build_snapshots(ts)
         dec, peak = traced_peak(hodmd, snap, HodmdConfig(d=200, dt=snap.dt))
@@ -498,7 +498,7 @@ class TestBoundedMemory:
         k = 2**16
         lam = poles(np.linspace(300.0, 11_000.0, 32))  # the upper members
         shapes = np.ones((1, lam.size), dtype=complex)
-        data = 2.0 * np.real(np.sum(_power_table(lam[:4], k), axis=0))[None, :]
+        data = 2.0 * np.real(np.sum(lam[:4, None] ** np.arange(k), axis=0))[None, :]
         (b, _, rank), peak = traced_peak(_fit_b, shapes, lam, data)
         assert rank == 64
         np.testing.assert_allclose(b[:4], 1.0, rtol=1e-9)
