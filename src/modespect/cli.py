@@ -272,6 +272,8 @@ def _cmd_compare(args, cfg: RunConfig) -> int:
     truths = (
         [float(v) for v in truth_text.split(",")] if truth_text is not None else None
     )
+    if truths is not None and not all(math.isfinite(f) for f in truths):
+        raise ConfigError(f"truth frequencies must be finite, got {truth_text!r}")
     if truths is not None and not (args.peak_prominence >= 0):
         raise ConfigError(f"--peak-prominence must be >= 0, got {args.peak_prominence}")
     ts = fileio.read_timeseries(args.infile)

@@ -647,33 +647,6 @@ def _column_blocks(a):
     return (_column_block(a, c) for c in range(0, a.shape[1], _BLOCK))
 
 
-class _RightVectors:
-    """The right singular vectors v of a truncated SVD, read by row blocks.
-
-    ``blocks()`` yields v's consecutive row blocks, the last block first.
-    ``head(cols)`` is v's leading ``cols`` columns.  v is an array held
-    whole after a dense SVD, one block, or formed block by block from the
-    Ritz factors of :func:`_ritz_triplets`, so that :func:`hodmd` never
-    holds it.
-    """
-
-    def __init__(self, shape: tuple[int, int], dtype, blocks):
-        self.shape, self.dtype, self._blocks = shape, dtype, blocks
-
-    @classmethod
-    def held(cls, v: np.ndarray) -> "_RightVectors":
-        return cls(v.shape, v.dtype, lambda cols: iter([v[:, :cols]]))
-
-    def __len__(self) -> int:
-        return self.shape[0]
-
-    def head(self, cols: int) -> "_RightVectors":
-        return _RightVectors((self.shape[0], cols), self.dtype, self._blocks)
-
-    def blocks(self):
-        return self._blocks(self.shape[1])
-
-
 def _power_pass(a, q: np.ndarray):
     """A running QR of a^H q and the product a a^H q, both by column blocks.
 
@@ -823,29 +796,28 @@ def _ritz_triplets(a, q: np.ndarray, r: np.ndarray, tops: list):
     :func:`_power_pass`.  The triplets of q^H a come from the small factor
     alone: r^H = ub s vb^H gives u = q ub and v = z vb.  Block i's rows of
     z are the rows of z_i below r_{i-1}, times the rows of z_{i+1} above
-    c_{i+1}, and so on to the last step.  v is a :class:`_RightVectors`
-    that forms them last block first: it rebuilds each block, takes z_i
-    again from the same QR, yields the block's rows of v and carries the
-    product of the upper rows, a w x w matrix, to the block before.  A
-    matrix of one block is one QR of a^H q, and v is z vb.
+    c_{i+1}, and so on to the last step.  v is a function that forms them
+    last block first: it rebuilds each block, takes z_i again from the same
+    QR, yields the block's rows of v and carries the product of the upper
+    rows, a w x w matrix, to the block before.  A matrix of one block is
+    one QR of a^H q, and v is z vb.
     """
     ub, s, vbh = np.linalg.svd(r.conj().T)
     vb = vbh.conj().T
     qh = q.conj().T
 
-    def blocks(cols: int):
+    def blocks():
         w = vb
         for i in range(len(tops) - 1, -1, -1):
             c = (qh @ _column_block(a, i * _BLOCK)).conj().T
             z = np.linalg.qr(np.vstack([tops[i], c]))[0]
             top = len(tops[i])
-            yield (z[top:] @ w)[:, :cols]
+            yield z[top:] @ w
             if i:
                 w = z[:top] @ w
             del c, z
 
-    shape = (a.shape[1], vb.shape[1])
-    return q @ ub, s, _RightVectors(shape, np.result_type(a.dtype, q.dtype), blocks)
+    return q @ ub, s, blocks
 
 
 def _blocked_svd(a, policy: TruncationPolicy):
@@ -855,19 +827,28 @@ def _blocked_svd(a, policy: TruncationPolicy):
     ``a`` is not wide (rows < columns > _BLOCK) or its leading singular value
     is zero.  a^H = Q R, so the rows x rows factor R^H = U S W^H holds every
     singular value and the left vectors of a.  R comes from a running QR of
-    the blocks of a^H; the trial rank under ``policy`` takes the kept
-    columns of U, and :func:`_ritz_triplets` forms the triplets from a
-    second running QR, of a^H U.  That pass costs less than v's rows taken
-    from the first QR, whose Q factors are rows wide, not rank wide: ten
-    times less at 100 rows and rank 16.  Only rows x rows arrays and one
-    block are resident at a time.
+    the blocks of a^H, each written below the last R factor into one
+    buffer, so a block is dropped before LAPACK copies it and no stacked
+    matrix is formed per block; the trial rank under ``policy`` takes the
+    kept columns of U, and :func:`_ritz_triplets` forms the triplets from
+    a second running QR, of a^H U.  That pass costs less than v's rows
+    taken from the first QR, whose Q factors are rows wide, not rank wide:
+    ten times less at 100 rows and rank 16.  Only rows x rows arrays and
+    one block are resident at a time.
     """
     if not a.shape[0] < a.shape[1] > _BLOCK:
         return None
-    r = np.zeros((0, a.shape[0]), dtype=np.result_type(a.dtype, np.float32))
+    n = a.shape[0]
+    stack = np.empty((n + _BLOCK, n), dtype=np.result_type(a.dtype, np.float32))
+    top = 0  # rows of the last R factor, stacked above the next block
     for b in _column_blocks(a):
-        r = np.linalg.qr(np.vstack([r, b.conj().T]), mode="r")
-        del b
+        end = top + b.shape[1]
+        stack[top:end] = b.conj().T
+        del b  # before LAPACK copies the stack
+        r = np.linalg.qr(stack[:end], mode="r")
+        top = len(r)
+        stack[:top] = r
+    del stack
     ur, values, _ = np.linalg.svd(r.conj().T)
     if values[0] == 0:
         return None
@@ -881,15 +862,16 @@ def _truncated_svd(a, policy: TruncationPolicy):
     """Rank under ``policy`` and the kept triplets (rank, u, s, v) of ``a``.
 
     ``a`` is an array or a :class:`_DelayMatrix`.  ``a ~= u @ diag(s) @
-    v^H`` over the kept triplets; v is a :class:`_RightVectors`, read by
-    row blocks, so a wide matrix's v is never held whole unless its reader
-    stacks it.  Subspace iteration finds them where it can.  Otherwise, as
-    for an uncertified optimal-threshold Gram, a wide matrix of more than
-    one column block gets every singular value from one
-    blocked QR pass (:func:`_blocked_svd`), and every other shape the dense
-    economy SVD of the matrix built whole, so the 500 x 525 matrix of a
-    saturated segment gets the dense result exactly.  Each way one
-    ``truncation_rank`` call on the matrix's shape decides the rank.
+    v^H`` over the kept triplets; v is a function that yields the kept
+    columns of v's row blocks, the last block first, so a wide matrix's v
+    is never held whole unless its reader stacks it.  Subspace iteration
+    finds them where it can.  Otherwise, as for an uncertified
+    optimal-threshold Gram, a wide matrix of more than one column block
+    gets every singular value from one blocked QR pass
+    (:func:`_blocked_svd`), and every other shape the dense economy SVD of
+    the matrix built whole, so the 500 x 525 matrix of a saturated segment
+    gets the dense result exactly.  Each way one ``truncation_rank`` call
+    on the matrix's shape decides the rank.
     """
     found = _sketched_svd(a, policy) or _blocked_svd(a, policy)
     if found is None:
@@ -900,14 +882,18 @@ def _truncated_svd(a, policy: TruncationPolicy):
             raise DegenerateInputError(
                 f"{m.shape[0]}x{m.shape[1]} matrix has zero leading singular value"
             )
-        found = s, sv.left_vectors, s, _RightVectors.held(sv.right_vectors)
+        found = s, sv.left_vectors, s, lambda: iter([sv.right_vectors])
     values, u, s, v = found
-    r = truncation_rank(values, policy, (u.shape[0], v.shape[0]))
-    return r, u[:, :r], s[:r], v.head(r)
+    r = truncation_rank(values, policy, a.shape)
+    return r, u[:, :r], s[:r], lambda: (block[:, :r] for block in v())
 
 
-def _shift_core(v: _RightVectors, s: np.ndarray) -> np.ndarray:
+def _shift_core(v, s: np.ndarray, rows: int) -> np.ndarray:
     """M of the least-squares propagator S M S^-1 of the kept triplets (s, v).
+
+    ``v()`` yields the row blocks of the right singular vectors, the last
+    block first, of which the leading ``s.size`` columns are read; ``rows``
+    is their row count.
 
     The leading snapshots' Gram is S (I - c c^H) S with c = conj(v[-1]), so
     Sherman-Morrison gives M = v[1:]^H v[:-1] (I + c c^H / gap), gap = 1 -
@@ -919,10 +905,11 @@ def _shift_core(v: _RightVectors, s: np.ndarray) -> np.ndarray:
     v[:-1]; ``lstsq`` gets the block itself if v is one block, and
     otherwise the R factor of a running QR of [xbar[:, :-1]^T |
     xbar[:, 1:]^T] over the blocks (TSQR), as :func:`_fit_b` does, with
-    the cut-off of the whole design, eps * max(len(v) - 1, rank).
+    the cut-off of the whole design, eps * max(rows - 1, rank).
     """
     core = design = rhs = after = None
-    for block in v.blocks():
+    for block in v():
+        block = block[:, : s.size]
         if after is None:  # the last block comes first
             c = block[-1].conj()
             gap = 1.0 - np.vdot(c, c).real
@@ -943,7 +930,7 @@ def _shift_core(v: _RightVectors, s: np.ndarray) -> np.ndarray:
     if gap > _GAP_MIN:
         core += np.outer(core @ c, c.conj() / gap)
         return core
-    rcond = np.finfo(float).eps * max(len(v) - 1, s.size)
+    rcond = np.finfo(float).eps * max(rows - 1, s.size)
     return lstsq(design, rhs, rcond=rcond).T * s / s[:, None]
 
 
@@ -996,9 +983,11 @@ def hodmd(x: SnapshotMatrix, cfg: HodmdConfig) -> Decomposition:
     finds them is told at :func:`_truncated_svd`, and how the sketch finds
     each policy's rank at :func:`_sketched_svd`.  The delay matrix goes to
     them as a :class:`_DelayMatrix`: a wide one of more than one _BLOCK of
-    columns is built only by column blocks, except for the dense SVD.  Its
-    right singular vectors v are read by row blocks and never held whole;
-    the amplitude fit (:func:`_fit_b`) and the reconstruction errors
+    columns is built only by column blocks, except for the dense SVD.  The
+    spatial reduction projects the snapshots onto its basis u, u^H x = S
+    V^H, so only the propagator reads right singular vectors: the delay
+    matrix's v, by row blocks, never held whole.  The amplitude fit
+    (:func:`_fit_b`) and the reconstruction errors
     (:func:`_relative_errors`) go by blocks of snapshots, whose eigenvalue
     powers are products formed block by block (:func:`_power_blocks`).  So
     apart from the input and the spatial reduction's r x K ``reduced``, no
@@ -1026,22 +1015,17 @@ def hodmd(x: SnapshotMatrix, cfg: HodmdConfig) -> Decomposition:
 
     # 1. spatial reduction, skipped for one or two channels
     if m > 2:
-        n_spat, basis, s, v = _truncated_svd(data, cfg.spatial_policy)
-        reduced = np.empty((n_spat, k), dtype=np.result_type(s, v.dtype))
-        end = k
-        for block in v.blocks():
-            reduced[:, end - len(block) : end] = s[:, None] * block.conj().T
-            end -= len(block)
+        n_spat, basis, _, _ = _truncated_svd(data, cfg.spatial_policy)
+        reduced = basis.conj().T @ data  # S V^H
     else:
         n_spat = m
         basis = np.eye(m)
         reduced = data
 
     # 2. delay embedding of the reduced snapshots, then a second reduction
-    n_temp, ubar, s, v = _truncated_svd(
-        _DelayMatrix(reduced, cfg.d), cfg.temporal_policy
-    )
-    full = min(ubar.shape[0], v.shape[0])
+    delay = _DelayMatrix(reduced, cfg.d)
+    n_temp, ubar, s, v = _truncated_svd(delay, cfg.temporal_policy)
+    full = min(delay.shape)
     if cfg.d > 1 and n_temp == full:
         # at d = 1 the embedding is the reduced snapshot matrix: full rank anyway
         warnings.warn(
@@ -1053,9 +1037,9 @@ def hodmd(x: SnapshotMatrix, cfg: HodmdConfig) -> Decomposition:
         )
 
     # 3. propagator S M S^-1 over the triplets above rounding level
-    above = np.count_nonzero(s > np.finfo(float).eps * max(len(ubar), len(v)) * s[0])
+    above = np.count_nonzero(s > np.finfo(float).eps * max(delay.shape) * s[0])
     ubar, s = ubar[:, :above], s[:above]
-    core = _shift_core(v.head(above), s)
+    core = _shift_core(v, s, delay.shape[1])
     del v  # a tall delay matrix built whole stays referenced by v until here
     if n_spat == 1:
         # every shape is basis[:, 0] times a scalar, which normalizing removes

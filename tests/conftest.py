@@ -31,4 +31,4 @@ def peak_amplitude(ts: TimeSeries) -> float:
 
 def stacked(v) -> np.ndarray:
     """Right singular vectors read by row blocks, stacked whole."""
-    return np.vstack(list(v.blocks())[::-1])
+    return np.vstack(list(v())[::-1])

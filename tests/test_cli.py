@@ -641,6 +641,23 @@ class TestCompare:
         assert code == 2
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("truth", ["nan", "inf", "2000,-inf"])
+    def test_non_finite_truth_exit_2_before_reading_the_input(
+        self, tmp_path, monkeypatch, capsys, case1_file, truth
+    ):
+        # NaN and Infinity in the report would make it invalid JSON
+        monkeypatch.setattr(cli, "hodmd", None)  # the decomposition never starts
+        monkeypatch.setattr(cli.fileio, "read_timeseries", None)  # nor the read
+        out_dir = tmp_path / "report"
+        code = run(
+            "compare", "--in", str(case1_file), "--d", "10",
+            "--kernel", "gaussian", "--h", "0.5", "--truth", truth,
+            "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        assert "truth frequencies must be finite" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path, case2_file):
