@@ -18,7 +18,9 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .decompose import (
     build_snapshots,
     hodmd,
 )
-from .fourier import WelchConfig, default_welch_config, periodogram, welch
+from .fourier import Window, WelchConfig, default_welch_config, periodogram, welch
 from .glide import GlideConfig, gliding_hodmd, pool_modes
 from .kds import KdsConfig, find_peaks, kds_gaussian, kds_lorentz
 from .presets import PRESET_FS, PRESET_N, PRESET_NAMES, preset_components
@@ -61,7 +63,11 @@ def _check_distinct_outputs(*paths) -> None:
         raise ConfigError(f"output paths must be distinct, got {given}")
 
 
-def _build_hodmd_config(args, cfg: RunConfig, dt: float) -> HodmdConfig:
+def _build_hodmd_config(args, cfg: RunConfig) -> HodmdConfig:
+    """The [hodmd] settings, checked before the record is read.
+
+    Its dt is a placeholder 1 until the record's own replaces it.
+    """
     d = pick(args.d, cfg, "hodmd", "d", int, None)
     if d is None:
         raise ConfigError("delay depth d is required (--d or [hodmd] d)")
@@ -74,7 +80,7 @@ def _build_hodmd_config(args, cfg: RunConfig, dt: float) -> HodmdConfig:
     amplitude = pick(args.amplitude, cfg, "hodmd", "amplitude_policy", str, "none")
     return HodmdConfig(
         d=d,
-        dt=dt,
+        dt=1.0,
         spatial_policy=_required_policy(spatial, "spatial_policy"),
         temporal_policy=_required_policy(temporal, "temporal_policy"),
         amplitude_policy=parse_policy(amplitude),
@@ -110,6 +116,8 @@ def _kds_config(args, cfg: RunConfig) -> KdsConfig:
 
 
 def _welch_settings(args, cfg: RunConfig, n_samples: int) -> WelchConfig:
+    """The [fft] Welch settings; a segment length not given is the default
+    for ``n_samples``, so a count of 0 checks the given settings alone."""
     seg = pick(args.segment_length, cfg, "fft", "segment_length", int, None)
     overlap = pick(args.overlap, cfg, "fft", "overlap_fraction", float, None)
     window = pick(args.window, cfg, "fft", "window", str, "hann")
@@ -129,9 +137,21 @@ def _run_kds(modes, kds_cfg: KdsConfig):
     return kds_lorentz(modes, kds_cfg)
 
 
+def _periodogram_window(args, cfg: RunConfig) -> str:
+    window = pick(args.window, cfg, "fft", "window", str, "rectangular")
+    if window not in get_args(Window):
+        raise ConfigError(f"window must be one of {get_args(Window)}, got {window!r}")
+    return window
+
+
 def _fourier_method(args, cfg: RunConfig) -> str:
+    """The [fft] method, its settings checked before the record is read."""
     method = pick(args.method, cfg, "fft", "method", str, "periodogram")
-    if method not in ("periodogram", "welch"):
+    if method == "welch":
+        _welch_settings(args, cfg, 0)
+    elif method == "periodogram":
+        _periodogram_window(args, cfg)
+    else:
         raise ConfigError(f"method must be periodogram or welch, got {method!r}")
     return method
 
@@ -140,8 +160,7 @@ def _fourier_spectrum(args, cfg: RunConfig, ts, method: str):
     """Periodogram or Welch estimate of ``ts`` under the [fft] settings."""
     if method == "welch":
         return welch(ts, _welch_settings(args, cfg, len(ts)))
-    window = pick(args.window, cfg, "fft", "window", str, "rectangular")
-    return periodogram(ts, window)
+    return periodogram(ts, _periodogram_window(args, cfg))
 
 
 def _summary(dec) -> dict:
@@ -187,8 +206,9 @@ def _cmd_synth(args, cfg: RunConfig) -> int:
 
 def _cmd_decompose(args, cfg: RunConfig) -> int:
     _check_distinct_outputs(args.out_modes, args.out_summary)
+    hodmd_cfg = _build_hodmd_config(args, cfg)
     ts = fileio.read_timeseries(args.infile)
-    hodmd_cfg = _build_hodmd_config(args, cfg, ts.dt)
+    hodmd_cfg = replace(hodmd_cfg, dt=ts.dt)
     started = time.perf_counter()
     dec = hodmd(build_snapshots(ts), hodmd_cfg)
     elapsed = time.perf_counter() - started
@@ -236,9 +256,11 @@ def _cmd_glide(args, cfg: RunConfig) -> int:
     floor = pick(args.floor, cfg, "glide", "floor", float, 0.0)
     if args.pool:
         pool_modes((), floor)  # rejects a bad floor before the sweep
-    ts = fileio.read_timeseries(args.infile)
-    hodmd_cfg = _build_hodmd_config(args, cfg, ts.dt)
+    hodmd_cfg = _build_hodmd_config(args, cfg)
     glide_cfg = GlideConfig(window_len=window_len, hodmd=hodmd_cfg, hop=hop)
+    ts = fileio.read_timeseries(args.infile)
+    hodmd_cfg = replace(hodmd_cfg, dt=ts.dt)
+    glide_cfg = replace(glide_cfg, hodmd=hodmd_cfg)
     tracks = gliding_hodmd(ts, glide_cfg)
     fileio.write_tracks(
         args.out_tracks, tracks, dt=ts.dt, window_len=window_len, hop=hop,
@@ -276,10 +298,11 @@ def _cmd_compare(args, cfg: RunConfig) -> int:
         raise ConfigError(f"truth frequencies must be finite, got {truth_text!r}")
     if truths is not None and not (args.peak_prominence >= 0):
         raise ConfigError(f"--peak-prominence must be >= 0, got {args.peak_prominence}")
-    ts = fileio.read_timeseries(args.infile)
-    hodmd_cfg = _build_hodmd_config(args, cfg, ts.dt)
+    hodmd_cfg = _build_hodmd_config(args, cfg)
     kds_cfg = _kds_config(args, cfg)
     method = _fourier_method(args, cfg)
+    ts = fileio.read_timeseries(args.infile)
+    hodmd_cfg = replace(hodmd_cfg, dt=ts.dt)
     started = time.perf_counter()
     dec = hodmd(build_snapshots(ts), hodmd_cfg)
     mode_spec = _run_kds(list(dec.modes), kds_cfg)

@@ -221,6 +221,23 @@ class TestDecompose:
         assert code == 1
 
     @pytest.mark.parametrize(
+        "flags, reason",
+        [([], "delay depth d is required"), (["--d", "0"], "d must be >= 1")],
+        ids=["no-d", "zero-d"],
+    )
+    def test_bad_depth_exit_2_before_reading_the_input(
+        self, tmp_path, monkeypatch, capsys, flags, reason
+    ):
+        monkeypatch.setattr(cli.fileio, "read_timeseries", None)
+        out = tmp_path / "m.csv"
+        code = run(
+            "decompose", "--in", str(tmp_path / "absent.csv"), *flags, "--out-modes", str(out)
+        )
+        assert code == 2
+        assert reason in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "row, reason", [("abc", "abc"), ("1.0,2.0", "columns")], ids=["text", "ragged"]
     )
     def test_malformed_input_row_exit_1(self, tmp_path, capsys, row, reason):
@@ -445,6 +462,32 @@ class TestFft:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags, ini, reason",
+        [
+            (["--method", "welch", "--segment-length", "100"], "", "power of two"),
+            (["--method", "welch", "--overlap", "1.5"], "", "overlap_fraction"),
+            (["--method", "welch"], "[fft]\nwindow = bogus\n", "bogus"),
+            ([], "[fft]\nwindow = bogus\n", "bogus"),
+        ],
+        ids=["segment", "overlap", "welch-window", "periodogram-window"],
+    )
+    def test_bad_setting_exit_2_before_reading_the_input(
+        self, tmp_path, monkeypatch, capsys, flags, ini, reason
+    ):
+        # only the default segment length needs the record's sample count
+        monkeypatch.setattr(cli.fileio, "read_timeseries", None)
+        config = tmp_path / "c.ini"
+        config.write_text(ini)
+        out = tmp_path / "w.csv"
+        code = run(
+            "fft", "--config", str(config), "--in", str(tmp_path / "absent.csv"),
+            *flags, "--out", str(out),
+        )
+        assert code == 2
+        assert reason in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGlide:
     def test_stationary_rows_near_constant(self, tmp_path):
@@ -560,6 +603,16 @@ class TestGlide:
         )
         assert code == 3
 
+    def test_window_sizing_exit_3_before_reading_the_input(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.fileio, "read_timeseries", None)
+        tracks_csv = tmp_path / "t.csv"
+        code = run(
+            "glide", "--in", str(tmp_path / "absent.csv"), "--window-len", "512",
+            "--d", "300", "--out-tracks", str(tracks_csv),
+        )
+        assert code == 3
+        assert not tracks_csv.exists()
+
 
 class TestCompare:
     def test_case2_with_truth(self, tmp_path):
@@ -656,6 +709,30 @@ class TestCompare:
         )
         assert code == 2
         assert "truth frequencies must be finite" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            ([], "kernel parameter h is required"),
+            (["--h", "0.5", "--grid", "5:1:0.1"], "f_min must be below f_max"),
+            (["--h", "0.5", "--method", "welch", "--segment-length", "100"], "power of two"),
+            (["--h", "0.5", "--d", "0"], "d must be >= 1"),
+        ],
+        ids=["no-h", "grid", "segment", "zero-d"],
+    )
+    def test_bad_setting_exit_2_before_reading_the_input(
+        self, tmp_path, monkeypatch, capsys, flags, reason
+    ):
+        monkeypatch.setattr(cli, "hodmd", None)
+        monkeypatch.setattr(cli.fileio, "read_timeseries", None)
+        out_dir = tmp_path / "report"
+        code = run(
+            "compare", "--in", str(tmp_path / "missing.csv"), "--d", "10", *flags,
+            "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        assert reason in capsys.readouterr().err
         assert not out_dir.exists()
 
 

@@ -224,22 +224,27 @@ def test_many_channels_match_dense(sketched):
     assert sketched == [True, False, True]  # the 8x599 delay matrix is too small
 
 
-def test_glide_replica_matches_dense():
-    # the sweep of acceptance criterion 8, window by window
+def glide_record():
+    """The 2**13-sample record of acceptance criterion 8, noise at 1% of its peak."""
     comps = [
         DampedComponent(1.0, 1400.0, 2.0),
         DampedComponent(1.0, 2600.0, 4.0),
         DampedComponent(1.0, 3700.0, 6.0),
     ]
-    truth = (1400.0, 2600.0, 3700.0)
     clean = synth_decaying_sum(comps, fs=FS, n=2**13)
-    noisy = add_gaussian_noise(clean, 0.01 * peak_amplitude(clean), seed=42)
+    return add_gaussian_noise(clean, 0.01 * peak_amplitude(clean), seed=42)
+
+
+def test_glide_replica_matches_dense():
+    # the sweep of acceptance criterion 8, window by window
+    truth = (1400.0, 2600.0, 3700.0)
+    noisy = glide_record()
     cfg = HodmdConfig(
-        d=500, dt=clean.dt, spatial_policy=OPTIMAL, temporal_policy=OPTIMAL
+        d=500, dt=noisy.dt, spatial_policy=OPTIMAL, temporal_policy=OPTIMAL
     )
     pooled = ([], [])
     for s in range(0, 2**13 - 2**10 + 1, 64):
-        snap = build_snapshots(TimeSeries(noisy.samples[s : s + 2**10], clean.dt))
+        snap = build_snapshots(TimeSeries(noisy.samples[s : s + 2**10], noisy.dt))
         fast, ref = hodmd(snap, cfg), dense(hodmd, snap, cfg)
         assert fast.ranks[:2] == ref.ranks[:2]
         for f in truth:
@@ -261,6 +266,110 @@ def test_glide_replica_matches_dense():
         strongest.append(sorted(f for f, _ in sorted(found, key=lambda p: -p[1])[:3]))
     assert strongest[0] == strongest[1]
     assert np.max(np.abs(np.subtract(strongest[0], truth))) < 0.5
+
+
+def sketch_passes(a, policy, unshifted=False):
+    """``_sketched_svd(a, policy)`` and the shift of each of its power passes,
+    with every pass run at shift 0 if ``unshifted``."""
+    shifts = []
+    original = decompose._power_pass
+
+    def spy(m, q, shift=0.0):
+        shifts.append(shift)
+        return original(m, q, 0.0 if unshifted else shift)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decompose, "_power_pass", spy)
+        return decompose._sketched_svd(a, policy), shifts
+
+
+def subspace_sine(u, ref):
+    """Sine of the largest angle between span(u) and ref's leading left vectors."""
+    w = ref.left_vectors[:, : u.shape[1]]
+    return np.linalg.norm(w - u @ (u.conj().T @ w), 2)
+
+
+@pytest.mark.parametrize("start", [1792, 1920, 4160, 4288])
+def test_shifted_passes_outpace_plain_ones(start):
+    # the windows of the glide replica whose plain passes are the most
+    # (24-29): sigma_{w+1} / sigma_r is 0.80-0.84 there, and the Chebyshev shifts
+    # damp that tail faster than plain powers do
+    window = glide_record().samples[None, start : start + 2**10]
+    a = build_delay_embedding(window, 500)
+    shifted, passes = sketch_passes(a, OPTIMAL)
+    plain, plain_passes = sketch_passes(a, OPTIMAL, unshifted=True)
+    assert shifted is not None and plain is not None
+    assert len(passes) <= 0.6 * len(plain_passes)
+    assert len(set(passes[1:])) == decompose._CHEB_DEGREE
+
+
+def test_shifts_converge_where_plain_passes_ran_out(case2_full):
+    # samples 6,144-7,167 of paper-case-2 with noise at 1% of its peak keep
+    # one triplet; plain passes ran out at _MAX_PASSES and fell to the dense
+    # SVD, shifted ones converge
+    base = head(case2_full, 8192)
+    noisy = add_gaussian_noise(base, 0.01 * peak_amplitude(base), seed=5).samples
+
+    def window(start):
+        return build_delay_embedding(noisy[None, start : start + 1024], 500)
+
+    a = window(6144)
+    assert sketch_passes(a, OPTIMAL, unshifted=True)[0] is None
+    found = decompose._sketched_svd(a, OPTIMAL)
+    assert found is not None
+    values, u, s, _ = found
+    ref = svd_econ(a)
+    r = truncation_rank(values, OPTIMAL, a.shape)
+    assert r == truncation_rank(ref.singular_values, OPTIMAL, a.shape)
+    kept = ref.singular_values[:r]
+    assert np.all(np.abs(s[:r] - kept) <= decompose._RITZ_RTOL * kept)
+    # as close to LAPACK's kept left vectors as plain passes come on the
+    # window before, where they converge
+    before = window(6080)
+    plain = sketch_passes(before, OPTIMAL, unshifted=True)[0]
+    assert plain is not None
+    assert subspace_sine(u[:, :r], ref) <= subspace_sine(plain[1][:, :r], svd_econ(before))
+
+
+def test_flat_tail_shifts_equal_its_level():
+    # sigma_{w+1} = sigma_min: the unwanted interval is one point, and every
+    # shift is that point up to the Gram's rounding, never above it
+    rng = np.random.default_rng(11)
+    u = np.linalg.qr(rng.normal(size=(200, 200)))[0]
+    v = np.linalg.qr(rng.normal(size=(300, 200)))[0]
+    a = (u * np.concatenate([[100.0, 50.0, 20.0, 10.0], np.ones(196)])) @ v.T
+    found, shifts = sketch_passes(a, OPTIMAL)
+    assert found is not None
+    values = found[0]
+    assert truncation_rank(values, OPTIMAL, a.shape) == 4
+    level = values[4 + decompose._OVERSAMPLE] ** 2
+    assert shifts[0] == 0  # the start
+    nodes = np.array(shifts[1:])
+    assert nodes.size and np.all(np.isfinite(nodes))
+    assert np.all(nodes <= level)
+    assert np.ptp(nodes) <= 1e-12 * values[0] ** 2
+
+
+@pytest.mark.parametrize("policy", [Tolerance(1e-10), FixedCount(6)])
+def test_tolerance_and_count_sketches_take_plain_products(case2_full, policy):
+    # the shifts come from the certified values of the optimal threshold
+    # alone: every pass of these sketches returns a a^H q itself
+    a = build_delay_embedding(head(case2_full, 2**14).samples[None, :], 200)
+    shifts, far = [], []
+    original = decompose._power_pass
+
+    def spy(m, q, shift=0.0):
+        found = original(m, q, shift)
+        shifts.append(shift)
+        product = a @ (a.conj().T @ q)
+        far.append(np.max(np.abs(found[1] - product)) / np.max(np.abs(product)))
+        return found
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decompose, "_power_pass", spy)
+        assert decompose._sketched_svd(a, policy) is not None
+    assert len(shifts) > 2 and all(shift == 0 for shift in shifts)
+    assert max(far) <= 1e-13
 
 
 def test_saturated_segment_bit_identical(sketched, case2_full):
