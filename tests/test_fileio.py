@@ -9,6 +9,7 @@ from modespect import (
     GlideConfig,
     HodmdConfig,
     KdsConfig,
+    Spectrum,
     TimeSeries,
     build_snapshots,
     gliding_hodmd,
@@ -17,6 +18,7 @@ from modespect import (
     synth_decaying_sum,
     preset_components,
 )
+from modespect import fileio
 from modespect.fileio import (
     MalformedFileError,
     read_modes,
@@ -31,13 +33,10 @@ from modespect.fileio import (
 
 FS = 25_000.0
 
-reasonable_floats = st.floats(
-    min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False
-)
 
 
 @settings(max_examples=200, deadline=None)
-@given(x=reasonable_floats)
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
 @example(x=-0.0)
 @example(x=5e-324)
 def test_seventeen_digits_round_trip(tmp_path_factory, x):
@@ -46,6 +45,132 @@ def test_seventeen_digits_round_trip(tmp_path_factory, x):
     write_timeseries(path, TimeSeries(samples, 1.0))
     # bytes, not ==, so the sign of zero counts
     assert read_timeseries(path).samples.tobytes() == samples.tobytes()
+
+
+def template_rows(*columns) -> bytes:
+    """The float rows as the Python row template writes them: the reference
+    the vectorized writer must equal byte for byte."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    lists = [np.asarray(col, dtype=float).tolist() for col in columns]
+    return "".join(row % values for values in zip(*lists)).encode("ascii")
+
+
+def csv_column(values) -> bytes:
+    return fileio._csv_rows(np.asarray(values, dtype=float).reshape(-1, 1))
+
+
+def with_neighbours(x):
+    x = np.asarray(x, dtype=float)
+    return np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+
+
+POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-323, 309)])
+SPECIAL_VALUES = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+     2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308, 2.0**-25, 3 * 2.0**-25, 0.1, 0.5, 1.0, 2.0**53, 2.0**63]
+)
+
+
+class TestFloatText:
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(20).integers(0, 2**64, 200_000, dtype=np.uint64)
+        values = bits.view(float)  # subnormals, inf and nan (of either sign) included
+        assert csv_column(values) == template_rows(values)
+
+    def test_powers_of_ten_and_neighbours(self):
+        values = with_neighbours(POWERS_OF_TEN)
+        assert csv_column(values) == template_rows(values)
+        assert csv_column(-values) == template_rows(-values)
+
+    def test_special_values(self):
+        assert csv_column(SPECIAL_VALUES) == template_rows(SPECIAL_VALUES)
+        assert csv_column([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]) == (
+            b"0\n-0\ninf\n-inf\nnan\nnan\n"
+        )
+
+    def test_exact_ties_take_the_python_path(self):
+        # 2**-25 = 2.98023223876953125e-08: the 18th digit is an exact 5
+        ties = np.array([2.0**-25, 3 * 2.0**-25])
+        _, _, near_tie = fileio._scaled_digits(ties, np.array([-8, -8]))
+        assert near_tie.all()
+        values = np.concatenate([ties, -ties])
+        assert csv_column(values) == template_rows(values)
+        assert csv_column(ties) == b"2.9802322387695312e-08\n8.9406967163085938e-08\n"
+
+    def test_fixed_and_scientific_switch(self):
+        edges = np.array([1e-5, 1e-4, 1e16, 1e17])
+        values = with_neighbours(with_neighbours(edges))
+        values = np.concatenate([values, -values])
+        assert csv_column(values) == template_rows(values)
+        assert csv_column(edges) == b"1.0000000000000001e-05\n0.0001\n10000000000000000\n1e+17\n"
+
+    def test_zero_and_empty_columns(self):
+        assert csv_column(np.zeros(1000)) == b"0\n" * 1000
+        assert csv_column(np.zeros(0)) == b""
+
+    def test_rows_of_several_columns(self):
+        rng = np.random.default_rng(21)
+        block = rng.normal(size=(500, 3)) * 10.0 ** rng.integers(-20, 20, (500, 3))
+        every_7th = block.reshape(-1)[::7]
+        every_7th[:] = np.resize(SPECIAL_VALUES, every_7th.size)
+        assert fileio._csv_rows(block) == template_rows(*block.T)
+
+    def test_short_column_rejected_before_the_file_opens(self, tmp_path):
+        path = tmp_path / "short.csv"
+        with pytest.raises(ValueError, match="equal length"):
+            fileio._write_table(path, "# n=3", [np.zeros(3), np.zeros(2)])
+        assert not path.exists()
+
+
+def data_rows(path, skip: int) -> bytes:
+    """The file's bytes after its first ``skip`` lines."""
+    return path.read_bytes().split(b"\n", skip)[skip]
+
+
+class TestWritersMatchTemplate:
+    """Each writer's rows equal the row template applied to its columns."""
+
+    def test_timeseries(self, tmp_path):
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=3000) * 10.0 ** rng.integers(-30, 30, 3000)
+        x[:SPECIAL_VALUES.size] = SPECIAL_VALUES
+        path = tmp_path / "real.csv"
+        write_timeseries(path, TimeSeries(x, 4e-5))
+        assert data_rows(path, 1) == template_rows(x)
+        z = x + 1j * rng.normal(size=x.size)
+        write_timeseries(path, TimeSeries(z, 4e-5))
+        assert data_rows(path, 1) == template_rows(z.real, z.imag)
+
+    def test_modes(self, tmp_path):
+        ts = synth_decaying_sum(preset_components("paper-case-2"), fs=FS, n=2048)
+        dec = hodmd(build_snapshots(ts), HodmdConfig(d=20, dt=ts.dt))
+        path = tmp_path / "modes.csv"
+        write_modes(path, dec.modes, dt=ts.dt, d=20, ranks=dec.ranks)
+        rates = [[getattr(m, name) for m in dec.modes]
+                 for name in ("frequency_hz", "growth_rate", "amplitude", "phase_rad")]
+        shapes = np.array([m.shape for m in dec.modes]).T
+        parts = [part for shape in shapes for part in (shape.real, shape.imag)]
+        assert data_rows(path, 2) == template_rows(*rates, *parts)
+
+    def test_spectrum(self, tmp_path):
+        f = np.linspace(0.0, 12500.0, 20001)
+        # far from its peak the density underflows to exact zeros
+        spec = Spectrum(f, np.exp(-(((f - 3000.0) / 40.0) ** 2)), {"source": "x"})
+        path = tmp_path / "spec.csv"
+        write_spectrum(path, spec)
+        assert data_rows(path, 2) == template_rows(spec.frequencies, spec.values)
+
+    def test_tracks(self, tmp_path):
+        ts = synth_decaying_sum(preset_components("paper-case-1"), fs=FS, n=2048)
+        cfg = GlideConfig(window_len=512, hodmd=HodmdConfig(d=8, dt=ts.dt), hop=256)
+        tracks = gliding_hodmd(ts, cfg)
+        path = tmp_path / "tracks.csv"
+        write_tracks(path, tracks, dt=ts.dt, window_len=512, hop=256, d=8)
+        rows = [(t.window_start_index, t.window_start_time, m.frequency_hz,
+                 m.growth_rate, m.amplitude, m.phase_rad) for t in tracks for m in t.modes]
+        assert rows
+        assert data_rows(path, 2) == template_rows(*np.array(rows).T)
 
 
 class TestTimeSeriesCsv:
