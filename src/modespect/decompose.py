@@ -12,6 +12,8 @@ fitting over all snapshots, and reconstruction for error reporting.
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 import random
 import warnings
@@ -313,14 +315,12 @@ def _fit_b(
     unknowns: the solution and the singular values are those of the complex
     fit over both members.  The design matrix is never built whole: two
     walks of :func:`_power_blocks` give the powers, one for the column
-    norms and one for the design; [design | rhs] is formed by blocks of
-    _BLOCK snapshots, and a running QR of the rows so far (TSQR) reduces it
-    to its R factor once a second block arrives.  ``lstsq`` then takes the
-    minimum-norm solution and the rank from that factor, or from the one
-    block itself, with the cut-off gelsd applies to the whole design, eps *
-    max(rows, columns).  The condition estimate is the ratio of the scaled
-    design matrix's extreme singular values.  An ill-conditioned system
-    also warns with both.
+    norms and one for the design, whose blocks of _BLOCK snapshots go to
+    :func:`_tsqr` as [design | rhs].  ``lstsq`` takes the minimum-norm
+    solution and the rank from its R factor, with the cut-off gelsd applies
+    to the whole design, eps * max(rows, columns).  The condition estimate
+    is the ratio of the scaled design's extreme singular values; an
+    ill-conditioned system also warns with both.
     """
     m, k = data.shape
     n = lam.size
@@ -333,23 +333,19 @@ def _fit_b(
     real = not np.iscomplexobj(data)
     pair = _pair_sides(lam) != 0
     root2 = math.sqrt(2.0)
-    design = rhs = None
-    for k0, p in zip(range(0, k, _BLOCK), _power_blocks(lam, k)):
-        p = p.T  # (rows, n)
-        a = (p[:, None, :] * unit[None, :, :]).reshape(p.shape[0] * m, n)
-        y = data[:, k0 : k0 + p.shape[0]].T.reshape(-1)
-        if real:
-            a = np.hstack(
-                [root2 * a.real[:, pair], -root2 * a.imag[:, pair], a.real[:, ~pair]]
-            )
-        if design is not None:
-            stacked = np.vstack([np.column_stack([design, rhs]), np.column_stack([a, y])])
-            r = np.linalg.qr(stacked, mode="r")
-            a, y = r[:, :-1], r[:, -1]
-        design, rhs = a, y
-    cols = design.shape[1]
+
+    def rows(k0, p):  # [design | rhs] of the p.shape[1] snapshots from k0
+        a = (p.T[:, None, :] * unit[None, :, :]).reshape(-1, n)
+        y = data[:, k0 : k0 + p.shape[1]].T.reshape(-1, 1)
+        if real:  # the complex product is dropped before the stack is formed
+            a = [root2 * a.real[:, pair], -root2 * a.imag[:, pair], a.real[:, ~pair]]
+        return np.hstack([*a, y] if real else [a, y])
+
+    for r in _tsqr(map(rows, range(0, k, _BLOCK), _power_blocks(lam, k))):
+        pass
+    cols = r.shape[1] - 1
     rcond = np.finfo(float).eps * max(k * m, cols)
-    sol, _, rank, svals = np.linalg.lstsq(design, rhs, rcond=rcond)
+    sol, _, rank, svals = np.linalg.lstsq(r[:, :-1], r[:, -1], rcond=rcond)
     if real:
         h = np.count_nonzero(pair)
         y, sol = sol, np.empty(n, dtype=complex)
@@ -649,25 +645,48 @@ def _column_blocks(a):
     return (_column_block(a, c) for c in range(0, a.shape[1], _BLOCK))
 
 
-def _power_pass(a, q: np.ndarray, shift: float = 0.0):
-    """A running QR of a^H q and the product (a a^H - shift) q, by column blocks.
+def _tsqr(blocks, r=None):
+    """The R factor of the rows so far, yielded after each of ``blocks``.
 
-    Each block's rows c_i of a^H q go into a running QR of the rows so far,
-    [r_{i-1}; c_i] = z_i r_i as in sequential TSQR (Demmel, Grigori,
-    Hoemmen & Langou 2012), and into the product, then are dropped, so no
-    long-side array is formed.  Returns the last R factor, whose singular
-    values are those of q^H a; the product; and every step's r_{i-1}, from
-    which :func:`_ritz_triplets` forms z again.
+    Sequential TSQR (Demmel, Grigori, Hoemmen & Langou 2012): each block of
+    rows c_i goes below the last R factor, [r_{i-1}; c_i] = z_i r_i, in one
+    buffer sized at the first QR for max(rows of r, columns) + block rows,
+    which no block as long grows; the block is dropped before LAPACK copies
+    it.  Each factor is a new array.  Without a starting ``r`` the first
+    block comes back as it is, so a one-block least squares is not reduced;
+    a 0-row ``r`` reduces it too.
     """
-    r = np.zeros((0, q.shape[1]), dtype=np.result_type(a.dtype, q.dtype))
-    y, tops = 0, []
-    for b in _column_blocks(a):
-        c = (q.conj().T @ b).conj().T  # faster than b.conj().T @ q
-        tops.append(r)
-        r = np.linalg.qr(np.vstack([r, c]), mode="r")
+    buf = None
+    for b in blocks:
+        if r is not None:  # else the block itself is the first factor
+            top, end, n = len(r), len(r) + len(b), b.shape[1]
+            if buf is None or end > len(buf):
+                buf = np.empty((max(top, n) + len(b), n), dtype=np.result_type(r, b))
+            buf[:top], buf[top:end] = r, b
+            del b
+            b = np.linalg.qr(buf[:end], mode="r")
+        r = b
+        yield r
+
+
+def _power_pass(a, q: np.ndarray, shift: float = 0.0):
+    """A running QR of a^H q (:func:`_tsqr`) and the product (a a^H - shift) q.
+
+    The rows c_i of a^H q for each column block go into both and are dropped.
+    Returns the last R factor, whose singular values are those of q^H a, the
+    product, and the R factors above the blocks, for :func:`_ritz_triplets`.
+    """
+    qh, y = q.conj().T, 0
+
+    def rows(b):
+        nonlocal y
+        c = (qh @ b).conj().T  # faster than b.conj().T @ q
         y = y + b @ c
-        del b, c  # or they are still held while the next block is built
-    return r, (y - shift * q if shift else y), tops
+        return c
+
+    tops = [np.zeros((0, q.shape[1]), dtype=np.result_type(a.dtype, q.dtype))]
+    tops += _tsqr(map(rows, _column_blocks(a)), tops[0])
+    return tops.pop(), (y - shift * q if shift else y), tops
 
 
 def _short_side_gram(a) -> np.ndarray:
@@ -755,11 +774,10 @@ def _sketched_svd(a, policy: TruncationPolicy):
     value is zero.  Trial ranks use ``linalg.truncation_rank``, so that
     :func:`_truncated_svd` decides each reduction's rank in one call.
 
-    The start and every pass are one :func:`_power_pass`, which goes by
-    column blocks, and the running QR of the last pass gives the Ritz
-    triplets (:func:`_ritz_triplets`), whose v is formed by blocks when it
-    is read.  No long-side array is formed, and a sketch given up leaves
-    none resident under the dense SVD.
+    The start and every pass are one :func:`_power_pass`, and the running
+    QR of the last gives the Ritz triplets (:func:`_ritz_triplets`), whose v
+    is formed by blocks when read: a sketch given up leaves no long-side
+    array resident under the dense SVD.
     """
     if _SKETCH_FRACTION * (1 + _OVERSAMPLE) > min(a.shape):
         return None  # no room for even a rank-1 sketch
@@ -848,28 +866,18 @@ def _blocked_svd(a, policy: TruncationPolicy):
     ``a`` is not wide (rows < columns > _BLOCK) or its leading singular value
     is zero.  a^H = Q R, so the rows x rows factor R^H = U S W^H holds every
     singular value and the left vectors of a.  R comes from a running QR of
-    the blocks of a^H, each written below the last R factor into one
-    buffer, so a block is dropped before LAPACK copies it and no stacked
-    matrix is formed per block; the trial rank under ``policy`` takes the
-    kept columns of U, and :func:`_ritz_triplets` forms the triplets from
-    a second running QR, of a^H U.  That pass costs less than v's rows
+    the blocks of a^H (:func:`_tsqr`); the trial rank under ``policy`` takes
+    the kept columns of U, and :func:`_ritz_triplets` forms the triplets
+    from a second running QR, of a^H U.  That pass costs less than v's rows
     taken from the first QR, whose Q factors are rows wide, not rank wide:
-    ten times less at 100 rows and rank 16.  Only rows x rows arrays and
-    one block are resident at a time.
+    ten times less at 100 rows and rank 16.
     """
     if not a.shape[0] < a.shape[1] > _BLOCK:
         return None
-    n = a.shape[0]
-    stack = np.empty((n + _BLOCK, n), dtype=np.result_type(a.dtype, np.float32))
-    top = 0  # rows of the last R factor, stacked above the next block
-    for b in _column_blocks(a):
-        end = top + b.shape[1]
-        stack[top:end] = b.conj().T
-        del b  # before LAPACK copies the stack
-        r = np.linalg.qr(stack[:end], mode="r")
-        top = len(r)
-        stack[:top] = r
-    del stack
+    r = np.zeros((0, a.shape[0]), dtype=np.result_type(a.dtype, np.float32))
+    # map, not a generator expression: no block stays bound through the QR
+    for r in _tsqr(map(lambda b: b.conj().T, _column_blocks(a)), r):
+        pass
     ur, values, _ = np.linalg.svd(r.conj().T)
     if values[0] == 0:
         return None
@@ -912,47 +920,42 @@ def _truncated_svd(a, policy: TruncationPolicy):
 def _shift_core(v, s: np.ndarray, rows: int) -> np.ndarray:
     """M of the least-squares propagator S M S^-1 of the kept triplets (s, v).
 
-    ``v()`` yields the row blocks of the right singular vectors, the last
-    block first, of which the leading ``s.size`` columns are read; ``rows``
-    is their row count.
+    ``v()`` yields the right singular vectors' row blocks, last first, whose
+    leading ``s.size`` columns are read; ``rows`` is their row count.
 
     The leading snapshots' Gram is S (I - c c^H) S with c = conj(v[-1]), so
     Sherman-Morrison gives M = v[1:]^H v[:-1] (I + c c^H / gap), gap = 1 -
     |c|^2.  A gap at or below _GAP_MIN takes ``lstsq`` on xbar = S v^H
-    instead.  Both are sums over v's rows, taken over its row blocks, last
-    first, so v is never held whole: each block is extended by the first
-    row of the block after it, so that the pair of rows across a block
-    boundary is counted.  The closed form adds up each block's v[1:]^H
-    v[:-1]; ``lstsq`` gets the block itself if v is one block, and
-    otherwise the R factor of a running QR of [xbar[:, :-1]^T |
-    xbar[:, 1:]^T] over the blocks (TSQR), as :func:`_fit_b` does, with
-    the cut-off of the whole design, eps * max(rows - 1, rank).
+    instead, with the whole design's cut-off, eps * max(rows - 1, s.size).
+    Both go over v's row blocks, so v is never held whole, each extended by
+    the first row of the block after it to count the pair across their
+    boundary: the closed form adds up each block's v[1:]^H v[:-1], and
+    ``lstsq`` reduces [xbar[:, :-1]^T | xbar[:, 1:]^T] by :func:`_tsqr`.
     """
-    core = design = rhs = after = None
-    for block in v():
-        block = block[:, : s.size]
-        if after is None:  # the last block comes first
-            c = block[-1].conj()
-            gap = 1.0 - np.vdot(c, c).real
-        else:
-            block = np.vstack([block, after])
-        after = block[:1]
-        if gap > _GAP_MIN:
-            part = block[1:].conj().T @ block[:-1]
-            core = part if core is None else core + part
-            continue
-        xbar = s[:, None] * block.conj().T
-        a, y = xbar[:, :-1].T, xbar[:, 1:].T
-        if design is not None:
-            stacked = np.vstack([np.hstack([design, rhs]), np.hstack([a, y])])
-            r = np.linalg.qr(stacked, mode="r")
-            a, y = r[:, : s.size], r[:, s.size :]
-        design, rhs = a, y
-    if gap > _GAP_MIN:
-        core += np.outer(core @ c, c.conj() / gap)
-        return core
-    rcond = np.finfo(float).eps * max(rows - 1, s.size)
-    return lstsq(design, rhs, rcond=rcond).T * s / s[:, None]
+    def blocks():  # the last block first, each with the first row of the next
+        after = None
+        for block in v():
+            block = block[:, : s.size]
+            if after is not None:
+                block = np.vstack([block, after])
+            after = block[:1].copy()
+            yield block
+            del block  # before the next block is formed
+
+    rest = blocks()
+    block = next(rest)
+    c = block[-1].conj()
+    gap = 1.0 - np.vdot(c, c).real
+    rest = itertools.chain([block], rest)
+    if gap <= _GAP_MIN:  # [xbar[:, :-1]^T | xbar[:, 1:]^T] of xbar = S v^H
+        pairs = map(lambda b: np.hstack([b[:-1].conj() * s, b[1:].conj() * s]), rest)
+        for r in _tsqr(pairs):
+            pass
+        rcond = np.finfo(float).eps * max(rows - 1, s.size)
+        return lstsq(r[:, : s.size], r[:, s.size :], rcond=rcond).T * s / s[:, None]
+    core = functools.reduce(np.add, map(lambda b: b[1:].conj().T @ b[:-1], rest))
+    core += np.outer(core @ c, c.conj() / gap)
+    return core
 
 
 def _check_samples(data: np.ndarray) -> None:
@@ -1015,14 +1018,11 @@ def hodmd(x: SnapshotMatrix, cfg: HodmdConfig) -> Decomposition:
     array grows with K.  A delay-space rank equal to min(shape) at d > 1
     emits a ``RuntimeWarning``: every singular value was kept.  The
     propagator is the least-squares one over the kept triplets above eps *
-    max(shape) * sigma_1, taken in closed form from their right singular
-    vectors v: it is S M S^-1 with M = v[1:]^H v[:-1] (I + c c^H / gap),
-    c = conj(v[-1]) and gap = 1 - |c|^2, so ``eig(M)`` gives its
-    eigenvalues and S times M's eigenvectors its own (Schmid 2010, applied
-    to the reduction of Le Clainche & Vega 2017).  A gap at or below
-    _GAP_MIN, as when the kept rank equals the column count, takes
-    ``lstsq`` instead (:func:`_shift_core`).  With one spatial row every
-    shape is that row's basis vector, so only eigenvalues are computed.
+    max(shape) * sigma_1, S M S^-1 with M from their right singular vectors
+    (:func:`_shift_core`), so ``eig(M)`` gives its eigenvalues and S times
+    M's eigenvectors its own (Schmid 2010, applied to the reduction of Le
+    Clainche & Vega 2017).  With one spatial row every shape is that row's
+    basis vector, so only eigenvalues are computed.
     Data with a non-finite sample or only zeros raises
     ``DegenerateInputError`` before any other check.
     """

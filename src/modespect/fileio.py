@@ -293,25 +293,35 @@ def _data_lines(path, skip: int) -> list:
 
 
 def _first_bad_line(path, skip: int):
-    """1-based number of the first data line that is non-numeric or ragged."""
+    """1-based number of the first data line that is non-numeric or ragged.
+
+    A field counts as numeric if Python's ``float`` takes it without the
+    digit-grouping underscores that it accepts and ``np.loadtxt`` does not.
+    """
     rows = _data_lines(path, skip)
     for lineno, fields in rows:
         try:
             list(map(float, fields))
         except ValueError:
             return lineno
-        if len(fields) != len(rows[0][1]):
+        if any("_" in f for f in fields) or len(fields) != len(rows[0][1]):
             return lineno
     return None
 
 
 def _read_table(path, with_names: bool):
-    """Header metadata, column names (or None) and the (rows, columns) floats."""
+    """Header metadata, column names (or None) and the (rows, columns) floats.
+
+    A byte that is not ASCII reads as U+FFFD, so outside a comment it makes
+    its line malformed.
+    """
     skip = 2 if with_names else 1
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         first = fh.readline()
         if not first.startswith("#"):
-            raise MalformedFileError(f"{path}, line 1: expected a '#' header line")
+            raise MalformedFileError(
+                f"{path}, line 1: expected a '#' header line, got {first[:16]!a}"
+            )
         meta = _parse_meta(first)
         names = fh.readline().strip().split(",") if with_names else None
         try:
@@ -328,6 +338,16 @@ def _read_table(path, with_names: bool):
     if names is not None and table.size == 0:
         table = table.reshape(0, len(names))
     return meta, names, table
+
+
+def _check_columns(path, names: list, table: np.ndarray, want: Sequence[str]) -> None:
+    """Reject column names other than the writer's ``want``, as when the
+    names line is missing, or a column count other than theirs."""
+    if names != list(want) or table.shape[1] != len(want):
+        raise MalformedFileError(
+            f"{path}, line 2: expected the {len(want)} columns {','.join(want)}, "
+            f"got {table.shape[1]} named {','.join(names)!r}"
+        )
 
 
 def write_timeseries(path, ts: TimeSeries) -> None:
@@ -378,7 +398,7 @@ def write_modes(
 
 def read_modes(path) -> tuple[list[Mode], dict]:
     """Mode list plus header metadata (dt, d, ranks)."""
-    meta, _, table = _read_table(path, with_names=True)
+    meta, names, table = _read_table(path, with_names=True)
     dt = _header_number(path, meta, "dt", positive=True)
     if isinstance(meta.get("ranks"), str):
         try:
@@ -387,24 +407,31 @@ def read_modes(path) -> tuple[list[Mode], dict]:
             raise MalformedFileError(
                 f"{path}, line 1: header needs ranks=<integers>, got {meta['ranks']!r}"
             ) from exc
-    n_columns = table.shape[1]
-    if n_columns < 4 or n_columns % 2:
-        raise MalformedFileError(
-            f"{path}, line 2: expected 4 rate columns and a re,im pair per "
-            f"channel, got {n_columns} columns"
-        )
-    bad = np.flatnonzero(~np.all(np.isfinite(table), axis=1) | (table[:, 2] < 0))
+    # 4 rate columns and a re,im pair per channel
+    _check_columns(path, names, table, _mode_column_names((table.shape[1] - 4) // 2))
+    poles = [_pole(f, g, dt) for f, g in table[:, :2].tolist()]
+    ok = np.all(np.isfinite(table), axis=1) & (table[:, 2] >= 0) & np.isfinite(poles)
+    bad = np.flatnonzero(~ok)
     if bad.size:
         lineno = _data_lines(path, 2)[bad[0]][0]
         raise MalformedFileError(
-            f"{path}, line {lineno}: values must be finite and the amplitude >= 0"
+            f"{path}, line {lineno}: values must be finite, the amplitude >= 0 "
+            "and the pole exp((growth_rate + 2j pi frequency_hz) dt) finite"
         )
     shapes = np.ascontiguousarray(table[:, 4:]).view(complex)  # re,im pairs
     modes = [
-        Mode(f, g, a, p, shape, cmath.exp(complex(g, 2.0 * math.pi * f) * dt))
-        for (f, g, a, p), shape in zip(table[:, :4].tolist(), shapes)
+        Mode(f, g, a, p, shape, pole)
+        for (f, g, a, p), shape, pole in zip(table[:, :4].tolist(), shapes, poles)
     ]
     return modes, meta
+
+
+def _pole(f: float, g: float, dt: float) -> complex:
+    """exp((g + 2j pi f) dt), or inf where that overflows."""
+    try:
+        return cmath.exp(complex(g, 2.0 * math.pi * f) * dt)
+    except (OverflowError, ValueError):
+        return complex(math.inf)
 
 
 def write_spectrum(path, spec: Spectrum) -> None:
@@ -414,12 +441,8 @@ def write_spectrum(path, spec: Spectrum) -> None:
 
 
 def read_spectrum(path) -> Spectrum:
-    meta, _, table = _read_table(path, with_names=True)
-    if table.shape[1] != 2:
-        raise MalformedFileError(
-            f"{path}, line 2: expected 2 columns (frequency_hz,value), "
-            f"got {table.shape[1]}"
-        )
+    meta, names, table = _read_table(path, with_names=True)
+    _check_columns(path, names, table, ("frequency_hz", "value"))
     try:
         return Spectrum(table[:, 0], table[:, 1], meta)
     except ValueError as exc:
@@ -455,9 +478,10 @@ def write_tracks(
 
 def read_tracks(path) -> tuple[list[dict], dict]:
     """Track rows as dicts (column name -> value) plus header metadata."""
-    meta, columns, table = _read_table(path, with_names=True)
+    meta, names, table = _read_table(path, with_names=True)
+    _check_columns(path, names, table, _TRACK_COLUMNS)
     rows = [
-        {columns[0]: int(row[0]), **dict(zip(columns[1:], row[1:]))}
+        {names[0]: int(row[0]), **dict(zip(names[1:], row[1:]))}
         for row in table.tolist()
     ]
     return rows, meta

@@ -12,6 +12,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
+from .decompose import DegenerateInputError, _check_samples
 from .kds import Spectrum
 from .signals import TimeSeries
 
@@ -43,7 +44,9 @@ def _one_sided_psd(x: np.ndarray, w: Optional[np.ndarray], fs: float) -> np.ndar
     """One-sided PSD of one segment, scaled as documented on periodogram.
 
     ``w`` None is the rectangular window, for which sum(w**2) is the
-    segment length.  The PSD is formed in place over the DFT's parts.
+    segment length.  The PSD is formed in place over the DFT's parts.  A
+    PSD that is not finite raises ``DegenerateInputError``: the segment has
+    a non-finite sample, or its power overflows.
     """
     if np.iscomplexobj(x):
         raise ValueError("one-sided PSD is defined for real signals")
@@ -58,6 +61,9 @@ def _one_sided_psd(x: np.ndarray, w: Optional[np.ndarray], fs: float) -> np.ndar
         psd[1:-1] *= 2.0
     else:
         psd[1:] *= 2.0
+    if not np.all(np.isfinite(psd)):
+        _check_samples(x)  # names a non-finite sample, as hodmd does
+        raise DegenerateInputError("the power spectral density overflows float64")
     return psd
 
 
@@ -68,7 +74,8 @@ def periodogram(ts: TimeSeries, window: Window = "rectangular") -> Spectrum:
     power under either window; interior bins are doubled, DC and (for even N)
     the Nyquist bin are not.  The rectangular window takes the DFT of the
     samples themselves, and the PSD is formed in place, so the arrays that
-    grow with N are the input, its DFT and the result.
+    grow with N are the input, its DFT and the result.  A non-finite sample,
+    or a PSD beyond float64, raises ``DegenerateInputError``.
     """
     x = np.asarray(ts.samples)
     if x.ndim != 1:
@@ -112,6 +119,7 @@ def welch(ts: TimeSeries, cfg: WelchConfig) -> Spectrum:
 
     The segment PSDs are added one segment at a time, in order (Welch's
     running average), so only one segment and its DFT are held at once.
+    A non-finite PSD raises ``DegenerateInputError``, as in periodogram.
     """
     x = np.asarray(ts.samples)
     if x.ndim != 1:

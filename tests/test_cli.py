@@ -13,6 +13,8 @@ from modespect.signals import TimeSeries
 
 FS = 25_000.0
 NAN_INDEX = 2000
+# the column names line that write_modes gives a one-channel mode list
+MODE_NAMES = "frequency_hz,growth_rate,amplitude,phase_rad,shape0_re,shape0_im"
 
 
 def run(*argv) -> int:
@@ -356,7 +358,7 @@ class TestSpectrum:
     )
     def test_malformed_modes_file_exit_1(self, tmp_path, header, row):
         modes_csv = tmp_path / "bad_modes.csv"
-        modes_csv.write_text(f"# {header}\nfrequency_hz,growth_rate\n{row}\n")
+        modes_csv.write_text(f"# {header}\n{MODE_NAMES}\n{row}\n")
         out = tmp_path / "s.csv"
         code = run(
             "spectrum", "--in", str(modes_csv), "--kernel", "gaussian",
@@ -373,7 +375,7 @@ class TestSpectrum:
         # default grid would take 9.45e12 (Lorentz) or 1e12 (Gaussian) points
         modes_csv = tmp_path / "steady_modes.csv"
         modes_csv.write_text(
-            "# dt=4e-05\nfrequency_hz,growth_rate\n"
+            f"# dt=4e-05\n{MODE_NAMES}\n"
             "1800,-100,1,0,1,0\n2000,-1e-09,1,0,1,0\n"
         )
         out = tmp_path / "s.csv"
@@ -745,3 +747,65 @@ class TestDeterminism:
                     "--out-modes", str(out)) == 0
             )
         assert a.read_bytes() == b.read_bytes()
+
+
+def hostile_file(tmp_path, name):
+    """A record or modes file that one defect makes malformed or degenerate."""
+    path = tmp_path / f"{name}.csv"
+    sig = tmp_path / "sig.csv"
+    assert run("synth", "--preset", "paper-case-2", "--n", "4096", "--out", str(sig)) == 0
+    lines = sig.read_text().splitlines(keepends=True)
+    if name == "bom":
+        path.write_bytes(b"\xef\xbb\xbf" + sig.read_bytes())
+    elif name in ("nan", "underscore"):
+        lines[1 + NAN_INDEX] = "nan\n" if name == "nan" else "1_000\n"
+        path.write_text("".join(lines))
+    elif name == "huge":
+        # finite samples whose power overflows float64
+        write_timeseries(path, TimeSeries(1e308 * np.cos(0.3 * np.arange(4096)), 1 / FS))
+    else:
+        names = "" if name == "no-names" else MODE_NAMES + "\n"
+        growth = "1e300" if name == "growth-1e300" else "-100"
+        path.write_text(
+            f"# dt=4e-05\n{names}1800,{growth},1,0,1,0\n"
+            "1992,-80,1,0,1,0\n2008,-50,1,0,1,0\n"
+        )
+    return path
+
+
+READERS = {
+    "decompose": ["decompose", "--d", "10", "--out-modes", "{out}"],
+    "fft": ["fft", "--out", "{out}"],
+    "welch": ["fft", "--method", "welch", "--out", "{out}"],
+    "glide": ["glide", "--window-len", "512", "--hop", "256", "--d", "8",
+              "--out-tracks", "{out}"],
+    "compare": ["compare", "--d", "10", "--h", "0.5", "--out-dir", "{out}"],
+    "spectrum": ["spectrum", "--h", "5", "--out", "{out}"],
+}
+
+
+class TestHostileFiles:
+    # (file, reading command, exit code, text the error names); a record of
+    # +-1e308 samples still exits 2 from the decomposing commands, whose
+    # arithmetic is not scale-free
+    @pytest.mark.parametrize(
+        "name, command, code, where",
+        [
+            *[("bom", c, 1, "bom.csv, line 1:") for c in ("decompose", "fft", "glide", "compare")],
+            *[("underscore", c, 1, f"line {2 + NAN_INDEX}:")
+              for c in ("decompose", "fft", "glide", "compare")],
+            *[("nan", c, 4, "non-finite") for c in ("decompose", "fft", "welch", "compare")],
+            ("nan", "glide", 0, ""),
+            *[("huge", c, 4, "overflows") for c in ("fft", "welch")],
+            ("no-names", "spectrum", 1, "no-names.csv, line 2:"),
+            ("growth-1e300", "spectrum", 1, "growth-1e300.csv, line 3:"),
+        ],
+    )
+    def test_exit_code_by_cause(self, tmp_path, capsys, name, command, code, where):
+        path = hostile_file(tmp_path, name)
+        out = tmp_path / "out"
+        argv = [a.format(out=out) for a in READERS[command]]
+        assert run(argv[0], "--in", str(path), *argv[1:]) == code
+        err = capsys.readouterr().err
+        assert where in err and "Traceback" not in err
+        assert out.exists() == (code == 0)

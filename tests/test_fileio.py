@@ -32,6 +32,8 @@ from modespect.fileio import (
 )
 
 FS = 25_000.0
+# the column names line that write_modes gives a one-channel mode list
+MODE_NAMES = "frequency_hz,growth_rate,amplitude,phase_rad,shape0_re,shape0_im"
 
 
 
@@ -226,8 +228,8 @@ class TestTimeSeriesCsv:
 
     @pytest.mark.parametrize(
         "body, line",
-        [("1\n2\nabc\n", 4), ("1\n\n2\n3,4\n", 5), ("1,2\n3\n", 3)],
-        ids=["non-numeric", "ragged-after-blank", "ragged-short"],
+        [("1\n2\nabc\n", 4), ("1\n\n2\n3,4\n", 5), ("1,2\n3\n", 3), ("1\n1_000\n", 3)],
+        ids=["non-numeric", "ragged-after-blank", "ragged-short", "underscore"],
     )
     def test_malformed_row_names_file_line(self, tmp_path, body, line):
         path = tmp_path / "bad.csv"
@@ -301,7 +303,7 @@ class TestModesCsv:
     )
     def test_malformed_modes_file_names_line(self, tmp_path, header, row, line):
         path = tmp_path / "modes.csv"
-        path.write_text(f"# {header}\nfrequency_hz,growth_rate\n{row}\n")
+        path.write_text(f"# {header}\n{MODE_NAMES}\n{row}\n")
         with pytest.raises(MalformedFileError, match=f"modes.csv, line {line}:"):
             read_modes(path)
 

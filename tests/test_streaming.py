@@ -33,7 +33,7 @@ from modespect import (
     synth_decaying_sum,
     truncation_rank,
 )
-from modespect.decompose import _DelayMatrix, _column_blocks, _fit_b, _power_blocks
+from modespect.decompose import _DelayMatrix, _column_blocks, _fit_b, _power_blocks, _tsqr
 
 from conftest import head, peak_amplitude, stacked
 
@@ -97,6 +97,52 @@ class TestColumnBlocks:
         assert all(b.flags.c_contiguous and b.shape[1] <= BLOCK for b in blocks)
         assert np.array_equal(np.hstack(blocks), whole)
         assert len(built) == len(blocks) == -(-whole.shape[1] // BLOCK)
+
+
+def row_blocks(kind, rows, columns=5):
+    rng = np.random.default_rng(7)
+    blocks = [rng.normal(size=(n, columns)) for n in rows]
+    if kind == "complex":
+        blocks = [b + 1j * rng.normal(size=b.shape) for b in blocks]
+    return blocks
+
+
+def sign_free(r):
+    """R with each row's phase taken off its diagonal entry."""
+    d = np.diagonal(r)
+    return r / np.where(d == 0, 1, d / np.abs(d))[:, None]
+
+
+class TestRunningQR:
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("start", ["none", "empty"])
+    def test_r_of_the_rows_stacked(self, kind, start):
+        # a first block of fewer rows than columns, as the last block of v
+        # can be in the propagator's lstsq, then longer ones and a short one
+        blocks = row_blocks(kind, [3, 9, 9, 4])
+        r0 = None if start == "none" else np.zeros((0, 5))
+        factors = list(_tsqr(iter(blocks), r0))
+        assert len(factors) == len(blocks)
+        for i, r in enumerate(factors[1:], 2):
+            ref = np.linalg.qr(np.vstack(blocks[:i]), mode="r")
+            assert r.shape == ref.shape
+            np.testing.assert_allclose(sign_free(r), sign_free(ref), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_each_step_is_one_qr_of_r_over_the_block(self, kind):
+        # the same LAPACK call on the same values as qr(vstack([r, block]))
+        blocks = row_blocks(kind, [9, 9, 4])
+        r = np.zeros((0, 5))
+        factors = list(_tsqr(iter(blocks), r))
+        for block, got in zip(blocks, factors):
+            r = np.linalg.qr(np.vstack([r, block]), mode="r")
+            assert np.array_equal(got, r)
+
+    def test_lone_block(self):
+        (block,) = row_blocks("real", [9])
+        assert [f is block for f in _tsqr(iter([block]))] == [True]
+        (r,) = _tsqr(iter([block]), np.zeros((0, 5)))
+        assert np.array_equal(r, np.linalg.qr(block, mode="r"))
 
 
 class TestStreamedReductions:
