@@ -26,7 +26,7 @@ from .linalg import FixedCount, OptimalHardThreshold, Tolerance, TruncationPolic
 from .linalg import eig, lstsq, svd_econ, truncation_rank
 from .linalg import _hard_threshold, _normalize_eigenvectors
 from . import linalg
-from .signals import TimeSeries, _sum_squares
+from .signals import TimeSeries, _relative_errors
 
 __all__ = [
     "SizingError",
@@ -325,8 +325,7 @@ def _fit_b(
     m, k = data.shape
     n = lam.size
     norms = np.array([_column_norms(p.T) for p in _power_blocks(lam, k)])
-    top = norms.max(axis=0)  # >= 1, as lam**0 = 1
-    scale = top * np.linalg.norm(norms / top, axis=0) * np.linalg.norm(shapes, axis=0)
+    scale = _column_norms(norms) * np.linalg.norm(shapes, axis=0)
     scale[scale == 0] = 1.0  # a zero shape keeps its zero column
     unit = shapes / scale
 
@@ -462,7 +461,7 @@ def _amplitude_truncate(
     stands for its conjugate pair, so its amplitude enters the sequence
     twice, once per member.
     """
-    strength = np.abs(b)
+    strength = _modulus(b)
     members = 1 + (_pair_sides(lam) != 0) if real_input else 1
     ranked = np.sort(np.repeat(strength, members))[::-1]
     r = truncation_rank(ranked, policy, (ranked.size, ranked.size))
@@ -508,42 +507,19 @@ def reconstruct(dec: Decomposition, n_samples: int) -> TimeSeries:
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     *_, lam, b, shapes = _mode_columns(dec.modes)
-    weights = shapes * b
-    samples = np.hstack([weights @ p for p in _power_blocks(lam, n_samples)])
-    if dec.real_input:
-        samples = samples.real
+    samples = np.hstack(list(_model_blocks(shapes, lam, b, n_samples, dec.real_input)))
     if samples.shape[0] == 1:
         samples = samples[0]
     return TimeSeries(samples, dt=dec.config.dt)
 
 
-def _relative_errors(
-    data: np.ndarray, shapes: np.ndarray, lam: np.ndarray, b: np.ndarray
-) -> tuple[float, float]:
-    """relative_rms_error and relative_max_error of the modes' reconstruction.
-
-    The reconstruction is formed from the blocks of :func:`_power_blocks`
-    and dropped, so no modes x K power table is formed: the peak of the
-    data, the sums of squares and the largest deviation are taken block by
-    block.  A record of one block gets the two functions' results on that
-    reconstruction bit for bit; longer ones add the blocks' sums of squares.
-    """
-    k = data.shape[1]
-    starts = range(0, k, _BLOCK)
-    peak = max(float(np.max(np.abs(data[:, k0 : k0 + _BLOCK]))) for k0 in starts)
-    scale = 2.0 ** (math.frexp(peak)[1] - 1)  # as relative_rms_error scales
-    err = ref = worst = 0.0
+def _model_blocks(shapes, lam, b, k: int, real: bool):
+    """The modes' sum over snapshots 0 .. k-1, by the blocks of
+    :func:`_power_blocks`; its real part for a real record."""
     weights = shapes * b
-    for k0, p in zip(starts, _power_blocks(lam, k)):
-        block = data[:, k0 : k0 + _BLOCK]
-        recon = weights @ p
-        if not np.iscomplexobj(data):
-            recon = recon.real
-        worst = max(worst, float(np.max(np.abs(block - recon))))
-        block, recon = block / scale, recon / scale
-        err += _sum_squares(block - recon)
-        ref += _sum_squares(block)
-    return float(np.sqrt(err) / np.sqrt(ref)), worst / peak
+    for p in _power_blocks(lam, k):
+        block = weights @ p
+        yield block.real if real else block
 
 
 def _assemble(
@@ -555,28 +531,24 @@ def _assemble(
 ) -> Decomposition:
     """Steps shared by both decompositions: amplitudes, pruning, reporting, errors.
 
-    For a real record only the upper member of each conjugate pair is kept
-    past the zero and overflow filters; it stands for the pair through the
-    amplitude fit, the merge, the pruning and the report.
+    One mask drops the eigenvalues that carry no usable mode: zero poles,
+    poles whose powers would pass _LOG_RANGE, zero shapes and the lower
+    member of a real record's conjugate pair, whose upper member stands for
+    it through the amplitude fit, the merge, the pruning and the report.
     """
     real_input = not np.iscomplexobj(x.data)
     k = x.n_snapshots
 
-    lam_abs = np.abs(lam)
-    keep = lam_abs > _ZERO_EIG_TOL * lam_abs.max()
-    with np.errstate(divide="ignore"):
-        keep &= (k - 1) * np.log(np.where(lam_abs > 0, lam_abs, 1.0)) < _LOG_RANGE
+    lam_abs = _modulus(lam)
+    with np.errstate(divide="ignore"):  # a zero pole, which the mask drops
+        keep = (k - 1) * np.log(lam_abs) < _LOG_RANGE
+    keep &= lam_abs > _ZERO_EIG_TOL * lam_abs.max(initial=0.0)
+    keep &= np.linalg.norm(shapes, axis=0) > 0
     if real_input:
         keep &= _pair_sides(lam) >= 0
     if not keep.any():
-        raise DegenerateInputError("all eigenvalues collapsed to zero")
-    lam, shapes = lam[keep], shapes[:, keep]
-
-    ok = np.linalg.norm(shapes, axis=0) > 0
-    shapes = _normalize_eigenvectors(shapes.astype(complex))
-    lam, shapes = lam[ok], shapes[:, ok]
-    if lam.size == 0:
-        raise DegenerateInputError("no usable mode shapes")
+        raise DegenerateInputError("no eigenvalue with a usable pole and shape")
+    lam, shapes = lam[keep], _normalize_eigenvectors(shapes[:, keep].astype(complex))
 
     b, cond, rank = _fit_b(shapes, lam, x.data)
     lam, shapes, b = _merge_duplicates(lam, shapes, b)
@@ -589,7 +561,7 @@ def _assemble(
     if not modes:
         raise DegenerateInputError("no reportable modes")
 
-    rms, worst = _relative_errors(x.data, shapes, lam, b)
+    rms, worst = _relative_errors(x.data, _model_blocks(shapes, lam, b, k, real_input))
     return Decomposition(
         modes=tuple(modes),
         relative_rms=rms,
@@ -900,19 +872,20 @@ def _truncated_svd(a, policy: TruncationPolicy):
     (:func:`_blocked_svd`), and every other shape the dense economy SVD of
     the matrix built whole, so the 500 x 525 matrix of a saturated segment
     gets the dense result exactly.  Each way one ``truncation_rank`` call
-    on the matrix's shape decides the rank.
+    on the matrix's shape decides the rank, unless the leading singular
+    value is zero or overflows: that raises ``DegenerateInputError``.
     """
     found = _sketched_svd(a, policy) or _blocked_svd(a, policy)
     if found is None:
-        m = a if isinstance(a, np.ndarray) else a.whole()
-        sv = svd_econ(m)
+        sv = svd_econ(a if isinstance(a, np.ndarray) else a.whole())
         s = sv.singular_values
-        if s[0] == 0:
-            raise DegenerateInputError(
-                f"{m.shape[0]}x{m.shape[1]} matrix has zero leading singular value"
-            )
         found = s, sv.left_vectors, s, lambda: iter([sv.right_vectors])
     values, u, s, v = found
+    if not 0 < values[0] < np.inf:
+        raise DegenerateInputError(
+            f"{a.shape[0]}x{a.shape[1]} matrix's leading singular value is "
+            f"{values[0]}, not a positive finite float64"
+        )
     r = truncation_rank(values, policy, a.shape)
     return r, u[:, :r], s[:r], lambda: (block[:, :r] for block in v())
 
@@ -1012,7 +985,7 @@ def hodmd(x: SnapshotMatrix, cfg: HodmdConfig) -> Decomposition:
     V^H, so only the propagator reads right singular vectors: the delay
     matrix's v, by row blocks, never held whole.  The amplitude fit
     (:func:`_fit_b`) and the reconstruction errors
-    (:func:`_relative_errors`) go by blocks of snapshots, whose eigenvalue
+    (:func:`_model_blocks`) go by blocks of snapshots, whose eigenvalue
     powers are products formed block by block (:func:`_power_blocks`).  So
     apart from the input and the spatial reduction's r x K ``reduced``, no
     array grows with K.  A delay-space rank equal to min(shape) at d > 1

@@ -17,7 +17,6 @@ those, take their digits from Python's own correctly rounded ``"%.16e" % v``.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import warnings
@@ -312,32 +311,32 @@ def _first_bad_line(path, skip: int):
 def _read_table(path, with_names: bool):
     """Header metadata, column names (or None) and the (rows, columns) floats.
 
-    A byte that is not ASCII reads as U+FFFD, so outside a comment it makes
-    its line malformed.
+    ``np.loadtxt`` reads the rows from the path itself.  Each byte decodes
+    as one Latin-1 character, so one that is not ASCII reads inside a
+    comment and, outside one, makes its line malformed.
     """
     skip = 2 if with_names else 1
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         first = fh.readline()
-        if not first.startswith("#"):
-            raise MalformedFileError(
-                f"{path}, line 1: expected a '#' header line, got {first[:16]!a}"
-            )
-        meta = _parse_meta(first)
         names = fh.readline().strip().split(",") if with_names else None
-        try:
-            with warnings.catch_warnings():
-                # a file without data rows is a valid empty table
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                table = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            # loadtxt's own "at row N" skips the header and blank lines
-            reason = str(exc).split(" at row ")[0]
-            lineno = _first_bad_line(path, skip)
-            where = path if lineno is None else f"{path}, line {lineno}"
-            raise MalformedFileError(f"{where}: {reason}") from exc
+    if not first.startswith("#"):
+        raise MalformedFileError(
+            f"{path}, line 1: expected a '#' header line, got {first[:16]!a}"
+        )
+    try:
+        with warnings.catch_warnings():
+            # a file without data rows is a valid empty table
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=skip, encoding="latin-1")
+    except ValueError as exc:
+        # loadtxt's own "at row N" skips the header and blank lines
+        reason = str(exc).split(" at row ")[0]
+        lineno = _first_bad_line(path, skip)
+        where = path if lineno is None else f"{path}, line {lineno}"
+        raise MalformedFileError(f"{where}: {reason}") from exc
     if names is not None and table.size == 0:
         table = table.reshape(0, len(names))
-    return meta, names, table
+    return _parse_meta(first), names, table
 
 
 def _check_columns(path, names: list, table: np.ndarray, want: Sequence[str]) -> None:
@@ -409,7 +408,10 @@ def read_modes(path) -> tuple[list[Mode], dict]:
             ) from exc
     # 4 rate columns and a re,im pair per channel
     _check_columns(path, names, table, _mode_column_names((table.shape[1] - 4) // 2))
-    poles = [_pole(f, g, dt) for f, g in table[:, :2].tolist()]
+    # the poles exp((g + 2j pi f) dt), from parts so a frequency of -0 keeps its sign
+    exponent = np.stack([table[:, 1], 2.0 * np.pi * table[:, 0]], axis=1).view(complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        poles = np.exp(exponent[:, 0] * dt)
     ok = np.all(np.isfinite(table), axis=1) & (table[:, 2] >= 0) & np.isfinite(poles)
     bad = np.flatnonzero(~ok)
     if bad.size:
@@ -421,17 +423,9 @@ def read_modes(path) -> tuple[list[Mode], dict]:
     shapes = np.ascontiguousarray(table[:, 4:]).view(complex)  # re,im pairs
     modes = [
         Mode(f, g, a, p, shape, pole)
-        for (f, g, a, p), shape, pole in zip(table[:, :4].tolist(), shapes, poles)
+        for (f, g, a, p), shape, pole in zip(table[:, :4].tolist(), shapes, poles.tolist())
     ]
     return modes, meta
-
-
-def _pole(f: float, g: float, dt: float) -> complex:
-    """exp((g + 2j pi f) dt), or inf where that overflows."""
-    try:
-        return cmath.exp(complex(g, 2.0 * math.pi * f) * dt)
-    except (OverflowError, ValueError):
-        return complex(math.inf)
 
 
 def write_spectrum(path, spec: Spectrum) -> None:

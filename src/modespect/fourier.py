@@ -50,17 +50,15 @@ def _one_sided_psd(x: np.ndarray, w: Optional[np.ndarray], fs: float) -> np.ndar
     """
     if np.iscomplexobj(x):
         raise ValueError("one-sided PSD is defined for real signals")
-    if w is None:
-        coeffs, power = np.fft.rfft(x), float(x.size)
-    else:
-        coeffs, power = np.fft.rfft(x * w), float(np.sum(w * w))
-    psd = np.square(coeffs.real)
-    psd += np.square(coeffs.imag, out=coeffs.imag)
-    psd /= fs * power
-    if x.size % 2 == 0:
-        psd[1:-1] *= 2.0
-    else:
-        psd[1:] *= 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        if w is None:
+            coeffs, power = np.fft.rfft(x), float(x.size)
+        else:
+            coeffs, power = np.fft.rfft(x * w), float(np.sum(w * w))
+        psd = np.square(coeffs.real)
+        psd += np.square(coeffs.imag, out=coeffs.imag)
+        psd /= fs * power
+        psd[1 : (x.size + 1) // 2] *= 2.0  # DC and an even length's Nyquist bin stay
     if not np.all(np.isfinite(psd)):
         _check_samples(x)  # names a non-finite sample, as hodmd does
         raise DegenerateInputError("the power spectral density overflows float64")

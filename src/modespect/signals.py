@@ -17,8 +17,8 @@ __all__ = [
     "relative_max_error",
 ]
 
-# samples per block of synth_decaying_sum and add_gaussian_noise, so that
-# neither forms a temporary of the record's length
+# samples per block of synth_decaying_sum, add_gaussian_noise and the
+# errors' peak, so none forms a temporary of the record's length
 _BLOCK = 2**16
 
 
@@ -136,8 +136,13 @@ def add_gaussian_noise(ts: TimeSeries, sigma: float, seed: int) -> TimeSeries:
     return TimeSeries(out, ts.dt, ts.t0)
 
 
-def _as_array(x: TimeSeries | np.ndarray) -> np.ndarray:
-    return x.samples if isinstance(x, TimeSeries) else np.asarray(x)
+def _checked_pair(reference, candidate) -> tuple[np.ndarray, list]:
+    """The reference's samples and the candidate's as one block, of one shape."""
+    ref, cand = (x.samples if isinstance(x, TimeSeries) else np.asarray(x)
+                 for x in (reference, candidate))
+    if ref.shape != cand.shape:
+        raise ValueError(f"shape mismatch: {ref.shape} vs {cand.shape}")
+    return ref, [cand]
 
 
 def relative_rms_error(
@@ -145,15 +150,38 @@ def relative_rms_error(
 ) -> float:
     """l2 norm of (reference - candidate) over the l2 norm of reference, both
     first divided by a power of two near its peak, so no square overflows."""
-    ref, cand = _as_array(reference), _as_array(candidate)
-    if ref.shape != cand.shape:
-        raise ValueError(f"shape mismatch: {ref.shape} vs {cand.shape}")
-    peak = float(np.max(np.abs(ref)))
+    return _relative_errors(*_checked_pair(reference, candidate))[0]
+
+
+def relative_max_error(
+    reference: TimeSeries | np.ndarray, candidate: TimeSeries | np.ndarray
+) -> float:
+    """Peak absolute deviation over the peak absolute reference value."""
+    return _relative_errors(*_checked_pair(reference, candidate))[1]
+
+
+def _relative_errors(reference: np.ndarray, candidate_blocks) -> tuple[float, float]:
+    """relative_rms_error and relative_max_error of a candidate given as its
+    blocks along the last axis, first to last.
+
+    The peak, the largest deviation and the sums of squares are taken by
+    blocks, so no temporary spans the record; the sums are added in block
+    order, and a single block gets those of ``np.linalg.norm``.
+    """
+    peak = float(np.max([np.max(np.abs(reference[..., k0 : k0 + _BLOCK]))
+                         for k0 in range(0, reference.shape[-1], _BLOCK)]))
     if peak == 0:
         raise ValueError("reference signal has zero norm")
     scale = 2.0 ** (math.frexp(peak)[1] - 1)
-    ref, cand = ref / scale, cand / scale
-    return float(np.sqrt(_sum_squares(ref - cand)) / np.sqrt(_sum_squares(ref)))
+    k0, err, ref, worst = 0, 0.0, 0.0, 0.0
+    for cand in candidate_blocks:
+        block = reference[..., k0 : k0 + cand.shape[-1]]
+        k0 += cand.shape[-1]
+        worst = np.maximum(worst, np.max(np.abs(block - cand)))
+        block, cand = block / scale, cand / scale
+        err += _sum_squares(block - cand)
+        ref += _sum_squares(block)
+    return float(np.sqrt(err) / np.sqrt(ref)), float(worst) / peak
 
 
 def _sum_squares(x: np.ndarray) -> float:
@@ -162,16 +190,3 @@ def _sum_squares(x: np.ndarray) -> float:
     if np.iscomplexobj(x):
         return x.real.dot(x.real) + x.imag.dot(x.imag)
     return x.dot(x)
-
-
-def relative_max_error(
-    reference: TimeSeries | np.ndarray, candidate: TimeSeries | np.ndarray
-) -> float:
-    """Peak absolute deviation over the peak absolute reference value."""
-    ref, cand = _as_array(reference), _as_array(candidate)
-    if ref.shape != cand.shape:
-        raise ValueError(f"shape mismatch: {ref.shape} vs {cand.shape}")
-    denom = float(np.max(np.abs(ref)))
-    if denom == 0:
-        raise ValueError("reference signal has zero norm")
-    return float(np.max(np.abs(ref - cand)) / denom)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -785,9 +786,7 @@ READERS = {
 
 
 class TestHostileFiles:
-    # (file, reading command, exit code, text the error names); a record of
-    # +-1e308 samples still exits 2 from the decomposing commands, whose
-    # arithmetic is not scale-free
+    # (file, reading command, exit code, text the error names)
     @pytest.mark.parametrize(
         "name, command, code, where",
         [
@@ -809,3 +808,34 @@ class TestHostileFiles:
         err = capsys.readouterr().err
         assert where in err and "Traceback" not in err
         assert out.exists() == (code == 0)
+
+    # the +-1e308 record: its power and its delay matrices' leading singular
+    # values overflow float64, so each command fails by that cause under
+    # either policy, with the error line alone on stderr and no warning;
+    # glide fails every window and writes no rows
+    @pytest.mark.parametrize(
+        "command, policy, code",
+        [
+            *[(c, p, 0 if c == "glide" else 4)
+              for c in ("decompose", "compare", "glide") for p in ("default", "optimal")],
+            ("fft", "default", 4),
+            ("welch", "default", 4),
+        ],
+    )
+    def test_huge_samples_overflow(self, tmp_path, capsys, command, policy, code):
+        path = hostile_file(tmp_path, "huge")
+        out = tmp_path / "out"
+        argv = [a.format(out=out) for a in READERS[command]]
+        if policy == "optimal":
+            argv += ["--spatial", "optimal", "--temporal", "optimal"]
+        capsys.readouterr()  # the synth run of hostile_file
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv[0], "--in", str(path), *argv[1:]) == code
+        assert caught == []
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == "" and read_tracks(out)[0] == []
+        else:
+            assert err.startswith("error: degenerate input:") and err.count("\n") == 1
+            assert "float64" in err and not out.exists()

@@ -29,9 +29,11 @@ from modespect import (
     hodmd,
     preset_components,
     reconstruct,
+    relative_max_error,
+    relative_rms_error,
     synth_decaying_sum,
 )
-from modespect import decompose
+from modespect import decompose, signals
 from modespect.decompose import _fit_b, _merge_duplicates, _power_blocks
 from modespect.linalg import eig as linalg_eig, lstsq
 
@@ -699,6 +701,37 @@ class TestHodmd:
             recon = np.atleast_2d(reconstruct(dec, snap.n_snapshots).samples)
             rel = np.linalg.norm(snap.data - recon) / np.linalg.norm(snap.data)
             assert rel == pytest.approx(dec.relative_rms, rel=1e-9, abs=1e-15)
+
+    @pytest.fixture()
+    def model_blocks(self, monkeypatch):
+        """The model blocks that hodmd passes to signals._relative_errors, per call."""
+        calls = []
+
+        def spy(reference, blocks):
+            calls.append(list(blocks))
+            return signals._relative_errors(reference, calls[-1])
+
+        monkeypatch.setattr(decompose, "_relative_errors", spy)
+        return calls
+
+    @pytest.mark.parametrize("n, blocks", [(4096, 1), (3 * BLOCK + 100, 4)])
+    def test_errors_are_the_signals_metrics(self, case2_full, model_blocks, n, blocks):
+        ts = head(case2_full, n)
+        dec = hodmd(build_snapshots(ts), HodmdConfig(d=20, dt=ts.dt))
+        [model] = model_blocks
+        assert len(model) == blocks
+        # the model is the reconstruction, up to the last bits of the
+        # amplitudes that Mode carries as a modulus and a phase
+        whole = np.hstack(model)[0]
+        np.testing.assert_allclose(
+            whole, reconstruct(dec, n).samples, rtol=0, atol=1e-13 * peak_amplitude(ts)
+        )
+        public = (relative_rms_error(ts, whole), relative_max_error(ts, whole))
+        if blocks == 1:  # bit for bit
+            assert (dec.relative_rms, dec.relative_max) == public
+        else:  # the blocks' sums of squares are added in block order
+            assert dec.relative_max == public[1]
+            assert dec.relative_rms == pytest.approx(public[0], rel=1e-12)
 
     def test_reconstruct_single_constant_mode(self):
         mode = make_mode(1.0, [1.0], amplitude=2.5, phase=0.0)

@@ -1,3 +1,5 @@
+import cmath
+import math
 import warnings
 
 import numpy as np
@@ -237,6 +239,15 @@ class TestTimeSeriesCsv:
         with pytest.raises(MalformedFileError, match=f"bad.csv, line {line}:"):
             read_timeseries(path)
 
+    @pytest.mark.parametrize("byte", [b"\xe9", "\u00e9".encode("utf-8"), b"\xef\xbb\xbf"])
+    def test_non_ascii_byte_reads_in_a_comment_only(self, tmp_path, byte):
+        path = tmp_path / "note.csv"
+        path.write_bytes(b"# dt=1 t0=0 " + byte + b"\n1\n2 # " + byte + b"\n3\n")
+        np.testing.assert_array_equal(read_timeseries(path).samples, [1.0, 2.0, 3.0])
+        path.write_bytes(b"# dt=1 t0=0\n1\n2" + byte + b"\n3\n")
+        with pytest.raises(MalformedFileError, match="note.csv, line 3:"):
+            read_timeseries(path)
+
     def test_missing_header_is_malformed(self, tmp_path):
         path = tmp_path / "bare.csv"
         path.write_text("1\n2\n")
@@ -274,6 +285,20 @@ class TestModesCsv:
             np.testing.assert_array_equal(got.shape, want.shape)
             # the pole is re-derived from the stored rates
             assert abs(got.eigenvalue - want.eigenvalue) <= 1e-10 * abs(want.eigenvalue)
+
+    def test_poles_are_cmath_exp_of_the_rates(self, tmp_path):
+        # the loop reference: cmath.exp of complex(g, 2 pi f) * dt, row by row,
+        # on random rates and on signed zeros, whose signs reach the pole
+        rng = np.random.default_rng(4)
+        f = np.concatenate([rng.uniform(-12500, 12500, 2000), [0.0, -0.0, -0.0, 0.0, -0.0]])
+        g = np.concatenate([rng.uniform(-3000, 300, 2000), [0.0, -0.0, -5.0, -5.0, 5.0]])
+        path = tmp_path / "modes.csv"
+        rates = list(zip(f.tolist(), g.tolist()))
+        rows = "".join(f"{a!r},{b!r},1,0,1,0\n" for a, b in rates)
+        path.write_text(f"# dt=4e-05\n{MODE_NAMES}\n{rows}")
+        want = [cmath.exp(complex(b, 2.0 * math.pi * a) * 4e-5) for a, b in rates]
+        got = [m.eigenvalue for m in read_modes(path)[0]]
+        assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
 
     def test_column_header(self, tmp_path, decomposition):
         ts, dec = decomposition

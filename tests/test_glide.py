@@ -136,6 +136,22 @@ class TestGlidingHodmd:
         assert tracks[1].modes == ()
         assert all(t.modes for i, t in enumerate(tracks) if i != 1)
 
+    @pytest.mark.parametrize("policy", [None, OptimalHardThreshold()], ids=["default", "optimal"])
+    def test_overflowing_stretch_fails_only_its_windows(self, policy):
+        # samples 1100-1299 of +-1e308: a delay matrix over them has a leading
+        # singular value beyond float64, so the windows from 768 to 1280 fail
+        ts = stationary_signal()
+        samples = ts.samples.copy()
+        samples[1100:1300] = 1e308 * np.cos(0.3 * np.arange(200))
+        cfg = small_cfg() if policy is None else HodmdConfig(8, DT, policy, policy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tracks = gliding_hodmd(
+                TimeSeries(samples, ts.dt), GlideConfig(window_len=512, hodmd=cfg, hop=256)
+            )
+        assert [t.window_start_index for t in tracks if t.failed] == [768, 1024, 1280]
+        assert all(t.modes for t in tracks if not t.failed)
+
     def test_linalg_error_fails_only_its_window(self, monkeypatch):
         ts = stationary_signal(n=1536)
         real_hodmd = glide_module.hodmd
