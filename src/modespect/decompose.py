@@ -180,6 +180,9 @@ class HodmdConfig:
 class Decomposition:
     """Full decomposition output: mode list, errors, and configuration echo.
 
+    ``relative_rms`` and ``relative_max`` are the errors of the reported
+    modes: ``relative_rms_error`` and ``relative_max_error`` of
+    ``reconstruct(dec, K)`` against the K snapshots, by blocks of 4,096.
     ``ranks`` records (spatial SVD rank, delay-space SVD rank, reported mode
     count).  ``real_input`` marks whether conjugate-pair reporting applies.
     ``amplitude_condition`` is the condition estimate of the amplitude fit
@@ -301,7 +304,7 @@ def _column_norms(p: np.ndarray) -> np.ndarray:
 def _fit_b(
     shapes: np.ndarray, lam: np.ndarray, data: np.ndarray
 ) -> tuple[np.ndarray, float, int]:
-    """Least-squares complex amplitudes over all snapshots, the fit's condition
+    """Least-squares model amplitudes over all snapshots, the fit's condition
     and its rank.
 
     Minimizes sum_k || x_k - sum_m shape_m * lam_m**k * b_m ||^2 with each
@@ -312,15 +315,17 @@ def _fit_b(
     sqrt(2) turns the pair's g b_m + conj(g b_m) into sqrt(2) Re(g) y_re -
     sqrt(2) Im(g) y_im, so the fit runs in real arithmetic over two columns
     per pair and Re(g) per real eigenvalue.  That is a unitary change of
-    unknowns: the solution and the singular values are those of the complex
-    fit over both members.  The design matrix is never built whole: two
-    walks of :func:`_power_blocks` give the powers, one for the column
-    norms and one for the design, whose blocks of _BLOCK snapshots go to
-    :func:`_tsqr` as [design | rhs].  ``lstsq`` takes the minimum-norm
-    solution and the rank from its R factor, with the cut-off gelsd applies
-    to the whole design, eps * max(rows, columns).  The condition estimate
-    is the ratio of the scaled design's extreme singular values; an
-    ill-conditioned system also warns with both.
+    unknowns: b_m and the singular values are those of the complex fit over
+    both members.  The pair's sum is Re(g B_m), and the model amplitude
+    B_m = 2 b_m is returned, as :class:`Mode` reports it (b_m for a real
+    eigenvalue).  The design matrix is never built whole: two walks of
+    :func:`_power_blocks` give the powers, one for the column norms and one
+    for the design, whose blocks of _BLOCK snapshots go to :func:`_tsqr` as
+    [design | rhs].  ``lstsq`` takes the minimum-norm solution and the rank
+    from its R factor, with the cut-off gelsd applies to the whole design,
+    eps * max(rows, columns).  The condition estimate is the ratio of the
+    scaled design's extreme singular values; an ill-conditioned system also
+    warns with both.
     """
     m, k = data.shape
     n = lam.size
@@ -348,7 +353,8 @@ def _fit_b(
     if real:
         h = np.count_nonzero(pair)
         y, sol = sol, np.empty(n, dtype=complex)
-        sol[pair] = (y[:h] + 1j * y[h : 2 * h]) / root2
+        # x2 after the division: x * sqrt(2) need not be 2 * (x / sqrt(2))
+        sol[pair] = 2.0 * ((y[:h] + 1j * y[h : 2 * h]) / root2)
         sol[~pair] = y[2 * h :]
     sol = sol / scale
     smin = svals[-1]
@@ -383,9 +389,8 @@ def _mode_columns(modes: Sequence[Mode]) -> tuple[np.ndarray, ...]:
 def fit_amplitudes(modes: Sequence[Mode], x: SnapshotMatrix) -> np.ndarray:
     """Complex amplitude per mode, fitted against every snapshot of ``x``.
 
-    Real data is fitted by the model of :func:`reconstruct`, as
-    :class:`Mode` reports it: each non-real mode stands for itself and its
-    conjugate partner (:func:`_fit_b`), so its amplitude comes back doubled.
+    These are the model amplitudes of :func:`reconstruct` (:func:`_fit_b`):
+    for real data a non-real mode carries twice each pair member's amplitude.
     """
     if len(modes) == 0:
         raise ValueError("mode list is empty")
@@ -394,10 +399,7 @@ def fit_amplitudes(modes: Sequence[Mode], x: SnapshotMatrix) -> np.ndarray:
         raise ValueError(
             f"shape length {shapes.shape[0]} does not match {x.n_channels} channels"
         )
-    b = _fit_b(shapes, lam, x.data)[0]
-    if not np.iscomplexobj(x.data):
-        b[_pair_sides(lam) != 0] *= 2.0
-    return b
+    return _fit_b(shapes, lam, x.data)[0]
 
 
 def _merge_duplicates(
@@ -458,11 +460,11 @@ def _amplitude_truncate(
     The policy is applied to the amplitude sequence sorted descending (square
     aspect ratio for the hard-threshold rule); everything at or above the
     cut-off amplitude survives.  For real input each non-real eigenvalue
-    stands for its conjugate pair, so its amplitude enters the sequence
-    twice, once per member.
+    stands for its conjugate pair, whose model amplitude it carries, so its
+    half of that amplitude enters the sequence twice, once per member.
     """
-    strength = _modulus(b)
     members = 1 + (_pair_sides(lam) != 0) if real_input else 1
+    strength = _modulus(b) / members
     ranked = np.sort(np.repeat(strength, members))[::-1]
     r = truncation_rank(ranked, policy, (ranked.size, ranked.size))
     keep = strength >= ranked[r - 1]
@@ -472,32 +474,24 @@ def _amplitude_truncate(
 
 
 def _report_modes(
-    lam: np.ndarray, shapes: np.ndarray, b: np.ndarray, dt: float, real_input: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Mode]]:
-    """Apply the conjugate-pair reporting rule; the reported arrays and modes.
+    lam: np.ndarray, shapes: np.ndarray, b: np.ndarray, dt: float
+) -> list[Mode]:
+    """The modes of eigenvalues, unit shapes and model amplitudes (:func:`_fit_b`).
 
-    For real input each non-real eigenvalue stands for its conjugate pair
-    and carries twice its fitted amplitude.  Modes are ordered by frequency,
-    growth rate, then descending amplitude; the arrays come back in the same
-    order.
+    Modes are ordered by frequency, growth rate, then descending amplitude.
     """
     lam = lam.astype(complex)  # real eigenvalues are reported as complex too
-    if real_input:
-        # x2 is exact: |b| and phase too
-        b = np.where(_pair_sides(lam) != 0, 2.0 * b, b)
     # math.log/atan2 per mode: numpy's SIMD log/arctan2 may differ in the last bit
     rates = [eigenvalue_to_rates(mu, dt) for mu in lam.tolist()]
     growth, omega = np.reshape(rates, (-1, 2)).T
     freq = omega / (2.0 * math.pi)
     amp = _modulus(b)
     order = np.lexsort((-amp, growth, freq))
-    lam, shapes, b = lam[order], shapes[:, order], b[order]
-    rows = zip(freq[order].tolist(), growth[order].tolist(), amp[order].tolist())
-    modes = [
-        Mode(f, g, a, cmath.phase(bi) if a > 0 else 0.0, shapes[:, i], mu)
-        for i, ((f, g, a), bi, mu) in enumerate(zip(rows, b.tolist(), lam.tolist()))
+    columns = (x[order].tolist() for x in (freq, growth, amp, b, lam))
+    return [
+        Mode(f, g, a, cmath.phase(bi) if a > 0 else 0.0, shape, mu)
+        for f, g, a, bi, mu, shape in zip(*columns, shapes.T[order])
     ]
-    return lam, shapes, b, modes
 
 
 def reconstruct(dec: Decomposition, n_samples: int) -> TimeSeries:
@@ -506,16 +500,16 @@ def reconstruct(dec: Decomposition, n_samples: int) -> TimeSeries:
         raise ValueError("decomposition has no modes")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    *_, lam, b, shapes = _mode_columns(dec.modes)
-    samples = np.hstack(list(_model_blocks(shapes, lam, b, n_samples, dec.real_input)))
+    samples = np.hstack(list(_model_blocks(dec.modes, n_samples, dec.real_input)))
     if samples.shape[0] == 1:
         samples = samples[0]
     return TimeSeries(samples, dt=dec.config.dt)
 
 
-def _model_blocks(shapes, lam, b, k: int, real: bool):
+def _model_blocks(modes: Sequence[Mode], k: int, real: bool):
     """The modes' sum over snapshots 0 .. k-1, by the blocks of
     :func:`_power_blocks`; its real part for a real record."""
+    *_, lam, b, shapes = _mode_columns(modes)
     weights = shapes * b
     for p in _power_blocks(lam, k):
         block = weights @ p
@@ -557,11 +551,9 @@ def _assemble(
             lam, shapes, b, cfg.amplitude_policy, real_input
         )
 
-    lam, shapes, b, modes = _report_modes(lam, shapes, b, cfg.dt, real_input)
-    if not modes:
-        raise DegenerateInputError("no reportable modes")
-
-    rms, worst = _relative_errors(x.data, _model_blocks(shapes, lam, b, k, real_input))
+    # the merge and the pruning each keep one mode at least
+    modes = _report_modes(lam, shapes, b, cfg.dt)
+    rms, worst = _relative_errors(x.data, _model_blocks(modes, k, real_input))
     return Decomposition(
         modes=tuple(modes),
         relative_rms=rms,

@@ -339,6 +339,14 @@ def _read_table(path, with_names: bool):
     return _parse_meta(first), names, table
 
 
+def _check_rows(path, ok: np.ndarray, rule: str) -> None:
+    """Reject the first data row below the names line where ``ok`` is False."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        lineno = _data_lines(path, 2)[bad[0]][0]
+        raise MalformedFileError(f"{path}, line {lineno}: {rule}")
+
+
 def _check_columns(path, names: list, table: np.ndarray, want: Sequence[str]) -> None:
     """Reject column names other than the writer's ``want``, as when the
     names line is missing, or a column count other than theirs."""
@@ -399,13 +407,14 @@ def read_modes(path) -> tuple[list[Mode], dict]:
     """Mode list plus header metadata (dt, d, ranks)."""
     meta, names, table = _read_table(path, with_names=True)
     dt = _header_number(path, meta, "dt", positive=True)
-    if isinstance(meta.get("ranks"), str):
-        try:
-            meta["ranks"] = tuple(int(v) for v in meta["ranks"].split(","))
-        except ValueError as exc:
+    if "ranks" in meta:
+        ranks = str(meta["ranks"]).split(",")
+        if len(ranks) != 3 or not all(r.isascii() and r.isdigit() for r in ranks):
             raise MalformedFileError(
-                f"{path}, line 1: header needs ranks=<integers>, got {meta['ranks']!r}"
-            ) from exc
+                f"{path}, line 1: header needs ranks=<three non-negative integers>, "
+                f"got {meta['ranks']!r}"
+            )
+        meta["ranks"] = tuple(map(int, ranks))
     # 4 rate columns and a re,im pair per channel
     _check_columns(path, names, table, _mode_column_names((table.shape[1] - 4) // 2))
     # the poles exp((g + 2j pi f) dt), from parts so a frequency of -0 keeps its sign
@@ -413,13 +422,8 @@ def read_modes(path) -> tuple[list[Mode], dict]:
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         poles = np.exp(exponent[:, 0] * dt)
     ok = np.all(np.isfinite(table), axis=1) & (table[:, 2] >= 0) & np.isfinite(poles)
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        lineno = _data_lines(path, 2)[bad[0]][0]
-        raise MalformedFileError(
-            f"{path}, line {lineno}: values must be finite, the amplitude >= 0 "
-            "and the pole exp((growth_rate + 2j pi frequency_hz) dt) finite"
-        )
+    _check_rows(path, ok, "values must be finite, the amplitude >= 0 and the pole "
+                "exp((growth_rate + 2j pi frequency_hz) dt) finite")
     shapes = np.ascontiguousarray(table[:, 4:]).view(complex)  # re,im pairs
     modes = [
         Mode(f, g, a, p, shape, pole)
@@ -474,6 +478,9 @@ def read_tracks(path) -> tuple[list[dict], dict]:
     """Track rows as dicts (column name -> value) plus header metadata."""
     meta, names, table = _read_table(path, with_names=True)
     _check_columns(path, names, table, _TRACK_COLUMNS)
+    index = table[:, 0]
+    ok = np.all(np.isfinite(table), axis=1) & (index >= 0) & (index == np.floor(index))
+    _check_rows(path, ok, "values must be finite and window_start_index an integer >= 0")
     rows = [
         {names[0]: int(row[0]), **dict(zip(names[1:], row[1:]))}
         for row in table.tolist()

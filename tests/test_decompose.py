@@ -545,8 +545,10 @@ class TestRealAmplitudeFit:
         assert dtypes == [np.float64, np.complex128]
         assert rank_real == rank_cplx == both.size == 500
         assert cond_real == pytest.approx(cond_cplx, rel=1e-6)
-        np.testing.assert_allclose(b_real, b_cplx[: lam.size], rtol=1e-9)
-        np.testing.assert_allclose(b_real[pair].conj(), b_cplx[lam.size :], rtol=1e-9)
+        # a pair member's model amplitude is twice its own: it stands for both
+        doubled = np.where(pair, 2.0, 1.0)
+        np.testing.assert_allclose(b_real, doubled * b_cplx[: lam.size], rtol=1e-9)
+        np.testing.assert_allclose(b_real[pair].conj(), 2.0 * b_cplx[lam.size :], rtol=1e-9)
 
     def test_complex_data_stays_complex_and_reported_modes_fit_real(self, monkeypatch):
         dtypes = self.lstsq_dtypes(monkeypatch)
@@ -714,19 +716,33 @@ class TestHodmd:
         monkeypatch.setattr(decompose, "_relative_errors", spy)
         return calls
 
-    @pytest.mark.parametrize("n, blocks", [(4096, 1), (3 * BLOCK + 100, 4)])
-    def test_errors_are_the_signals_metrics(self, case2_full, model_blocks, n, blocks):
-        ts = head(case2_full, n)
-        dec = hodmd(build_snapshots(ts), HodmdConfig(d=20, dt=ts.dt))
+    @pytest.mark.parametrize(
+        "record, n, d, blocks",
+        [
+            pytest.param("case-2", 4096, 20, 1, id="4096-1"),
+            pytest.param("case-2", 3 * BLOCK + 100, 20, 4, id="12388-4"),
+            pytest.param("noisy", 1024, 500, 1, id="noisy-segment"),  # 253 modes
+            pytest.param("drift", 1024, 500, 1, id="drift"),  # a pair 1 +- i eps
+        ],
+    )
+    def test_errors_are_the_signals_metrics(
+        self, case2_full, model_blocks, record, n, d, blocks
+    ):
+        snap = {
+            "case-2": lambda: build_snapshots(head(case2_full, n)),
+            "noisy": saturated_segment,
+            "drift": lambda: build_snapshots(TimeSeries(1 + 1e-3 * np.arange(n), dt=4e-5)),
+        }[record]()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the noisy segment saturates
+            dec = hodmd(snap, HodmdConfig(d=d, dt=snap.dt))
         [model] = model_blocks
         assert len(model) == blocks
-        # the model is the reconstruction, up to the last bits of the
-        # amplitudes that Mode carries as a modulus and a phase
+        # the model is the reconstruction from the reported modes, bit for bit
         whole = np.hstack(model)[0]
-        np.testing.assert_allclose(
-            whole, reconstruct(dec, n).samples, rtol=0, atol=1e-13 * peak_amplitude(ts)
-        )
-        public = (relative_rms_error(ts, whole), relative_max_error(ts, whole))
+        assert np.array_equal(whole, reconstruct(dec, n).samples)
+        x = snap.data[0]
+        public = (relative_rms_error(x, whole), relative_max_error(x, whole))
         if blocks == 1:  # bit for bit
             assert (dec.relative_rms, dec.relative_max) == public
         else:  # the blocks' sums of squares are added in block order

@@ -318,13 +318,14 @@ class TestModesCsv:
         "header, row, line",
         [
             ("dt=1e-3 ranks=a,b,c", "2000,-80,1,0,1,0", 1),
+            ("dt=1e-3 ranks=1,2", "2000,-80,1,0,1,0", 1),
             ("dt=1e-3", "2000,-80,1,0,1,0,1", 2),  # odd shape columns
             ("dt=1e-3", "2000,-80,1", 2),  # fewer than 4 columns
             ("dt=1e-3", "2000,-80,-1,0,1,0", 3),  # negative amplitude
             # a NaN row after a blank line and a good row
             ("dt=1e-3", "\n2000,-80,1,0,1,0\nnan,-80,1,0,1,0", 5),
         ],
-        ids=["ranks", "odd-shape", "three-columns", "negative-amplitude", "nan"],
+        ids=["ranks", "two-ranks", "odd-shape", "three-columns", "negative-amplitude", "nan"],
     )
     def test_malformed_modes_file_names_line(self, tmp_path, header, row, line):
         path = tmp_path / "modes.csv"
@@ -394,6 +395,24 @@ class TestTracksCsv:
                 assert row["frequency_hz"] == m.frequency_hz
                 assert row["amplitude"] == m.amplitude
                 i += 1
+
+    @pytest.mark.parametrize(
+        "row, line",
+        [
+            ("inf,0,1000,-20,1,0", 3),
+            # a NaN row after a blank line and a good row
+            ("\n0,0,1000,-20,1,0\nnan,0,1000,-20,1,0", 5),
+            ("1.5,6e-05,1000,-20,1,0", 3),
+            ("-3,0,1000,-20,1,0", 3),
+        ],
+        ids=["inf", "nan", "fraction", "negative"],
+    )
+    def test_malformed_window_index_names_line(self, tmp_path, row, line):
+        path = tmp_path / "tracks.csv"
+        names = ",".join(fileio._TRACK_COLUMNS)
+        path.write_text(f"# dt=4e-05 window_len=512 hop=64 d=8\n{names}\n{row}\n")
+        with pytest.raises(MalformedFileError, match=f"tracks.csv, line {line}:"):
+            read_tracks(path)
 
     def test_no_rows_reads_empty(self, tmp_path):
         path = tmp_path / "tracks.csv"

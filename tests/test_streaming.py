@@ -433,7 +433,8 @@ def one_shot_fit(shapes, lam, data):
     the powers of ``_power_blocks`` stacked whole.
 
     For real data each non-real eigenvalue stands for its conjugate pair and
-    takes two real columns, sqrt(2) Re(g) and -sqrt(2) Im(g).
+    takes two real columns, sqrt(2) Re(g) and -sqrt(2) Im(g); its model
+    amplitude is twice the member's.
     """
     m, k = data.shape
     powers = np.hstack(list(_power_blocks(lam, k))).T
@@ -451,7 +452,7 @@ def one_shot_fit(shapes, lam, data):
         a = np.hstack([root2 * g.real[:, pair], -root2 * g.imag[:, pair], g.real[:, ~pair]])
         y, _, rank, svals = np.linalg.lstsq(a, rhs, rcond=None)
         sol = np.empty(lam.size, dtype=complex)
-        sol[pair] = (y[:h] + 1j * y[h : 2 * h]) / root2
+        sol[pair] = 2.0 * ((y[:h] + 1j * y[h : 2 * h]) / root2)
         sol[~pair] = y[2 * h :]
     return sol / scale, float(svals[0] / svals[-1]), int(rank)
 
@@ -507,7 +508,7 @@ class TestBlockedFit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             b, cond, rank = _fit_b(shapes, lam, data)
-        np.testing.assert_allclose(b, 1.0, rtol=1e-9)
+        np.testing.assert_allclose(b, 2.0, rtol=1e-9)
         assert rank == 4 and math.isfinite(cond)
 
     def test_saturated_segment_fit_bit_identical(self, monkeypatch):
@@ -571,5 +572,5 @@ class TestBoundedMemory:
         data = 2.0 * np.real(np.sum(lam[:4, None] ** np.arange(k), axis=0))[None, :]
         (b, _, rank), peak = traced_peak(_fit_b, shapes, lam, data)
         assert rank == 64
-        np.testing.assert_allclose(b[:4], 1.0, rtol=1e-9)
+        np.testing.assert_allclose(b[:4], 2.0, rtol=1e-9)
         assert peak < k * 64 * 16
