@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``synth``, ``decompose``, ``spectrum``, ``fft``, ``glide``,
-``compare``.  Settings come from CLI flags, which override an optional INI
-config file (``--config``); see :mod:`modespect.config` for the file layout.
+``compare``.  Each setting is a row of :data:`modespect.config.SETTINGS`,
+given by its flag or by its key in an INI config file (``--config``), the
+flag winning; a setting given by neither takes the library's default.
 
 Exit codes: 0 ok, 1 I/O failure or malformed input file, 2 invalid
 configuration, 3 window sizing violation (K <= 2*d), 4 degenerate input
@@ -25,15 +26,7 @@ from typing import get_args
 import numpy as np
 
 from . import fileio
-from .config import (
-    ConfigError,
-    RunConfig,
-    parse_bool,
-    parse_components,
-    parse_grid,
-    parse_policy,
-    pick,
-)
+from .config import SETTINGS, ConfigError, RunConfig, parse_components, settings
 from .decompose import (
     DegenerateInputError,
     HodmdConfig,
@@ -42,10 +35,10 @@ from .decompose import (
     build_snapshots,
     hodmd,
 )
-from .fourier import Window, WelchConfig, default_welch_config, periodogram, welch
+from .fourier import Window, default_welch_config, periodogram, welch
 from .glide import GlideConfig, gliding_hodmd, pool_modes
 from .kds import KdsConfig, find_peaks, kds_gaussian, kds_lorentz
-from .presets import PRESET_FS, PRESET_N, PRESET_NAMES, preset_components
+from .presets import PRESET_FS, PRESET_N, preset_components
 from .signals import TimeSeries, add_gaussian_noise, synth_decaying_sum
 
 __all__ = ["main", "entrypoint"]
@@ -68,65 +61,24 @@ def _build_hodmd_config(args, cfg: RunConfig) -> HodmdConfig:
 
     Its dt is a placeholder 1 until the record's own replaces it.
     """
-    d = pick(args.d, cfg, "hodmd", "d", int, None)
-    if d is None:
+    given = settings(args, cfg, "hodmd")
+    if "d" not in given:
         raise ConfigError("delay depth d is required (--d or [hodmd] d)")
-    spatial = pick(
-        args.spatial, cfg, "hodmd", "spatial_policy", str, "tolerance:1e-10"
-    )
-    temporal = pick(
-        args.temporal, cfg, "hodmd", "temporal_policy", str, "tolerance:1e-10"
-    )
-    amplitude = pick(args.amplitude, cfg, "hodmd", "amplitude_policy", str, "none")
-    return HodmdConfig(
-        d=d,
-        dt=1.0,
-        spatial_policy=_required_policy(spatial, "spatial_policy"),
-        temporal_policy=_required_policy(temporal, "temporal_policy"),
-        amplitude_policy=parse_policy(amplitude),
-    )
-
-
-def _required_policy(text: str, name: str):
-    policy = parse_policy(text)
-    if policy is None:
-        raise ConfigError(f"{name} may not be 'none'")
-    return policy
+    with given.checked():
+        for key in ("spatial_policy", "temporal_policy"):
+            if key in given and given[key] is None:
+                raise ValueError(f"{key} may not be 'none'")
+        return HodmdConfig(dt=1.0, **given)
 
 
 def _kds_config(args, cfg: RunConfig) -> KdsConfig:
-    kernel = pick(args.kernel, cfg, "kds", "kernel", str, "gaussian")
-    h = pick(args.h, cfg, "kds", "h", float, None)
-    if h is None:
+    given = settings(args, cfg, "kds")
+    if "h" not in given:
         raise ConfigError("kernel parameter h is required (--h or [kds] h)")
-    weighting = pick(args.weighting, cfg, "kds", "weighting", str, "density")
-    grid_text = pick(args.grid, cfg, "kds", "grid", str, None)
-    tau_max = pick(args.tau_max, cfg, "kds", "tau_max", float, float("inf"))
-    unit_num = pick(None, cfg, "kds", "lorentz_unit_numerator", parse_bool, True)
     if args.lorentz_sqrt_numerator:
-        unit_num = False
-    return KdsConfig(
-        kernel=kernel,
-        h=h,
-        weighting=weighting,
-        grid=parse_grid(grid_text) if isinstance(grid_text, str) else grid_text,
-        lorentz_unit_numerator=unit_num,
-        tau_max=tau_max,
-    )
-
-
-def _welch_settings(args, cfg: RunConfig, n_samples: int) -> WelchConfig:
-    """The [fft] Welch settings; a segment length not given is the default
-    for ``n_samples``, so a count of 0 checks the given settings alone."""
-    seg = pick(args.segment_length, cfg, "fft", "segment_length", int, None)
-    overlap = pick(args.overlap, cfg, "fft", "overlap_fraction", float, None)
-    window = pick(args.window, cfg, "fft", "window", str, "hann")
-    base = default_welch_config(n_samples)
-    return WelchConfig(
-        segment_length=seg if seg is not None else base.segment_length,
-        overlap_fraction=overlap if overlap is not None else base.overlap_fraction,
-        window=window,
-    )
+        given["lorentz_unit_numerator"] = False
+    with given.checked():
+        return KdsConfig(**{"kernel": "gaussian", **given})
 
 
 def _run_kds(modes, kds_cfg: KdsConfig):
@@ -137,30 +89,25 @@ def _run_kds(modes, kds_cfg: KdsConfig):
     return kds_lorentz(modes, kds_cfg)
 
 
-def _periodogram_window(args, cfg: RunConfig) -> str:
-    window = pick(args.window, cfg, "fft", "window", str, "rectangular")
-    if window not in get_args(Window):
-        raise ConfigError(f"window must be one of {get_args(Window)}, got {window!r}")
-    return window
+def _fourier(args, cfg: RunConfig):
+    """The [fft] estimator as a function of the record, its settings checked
+    before the record is read.
 
-
-def _fourier_method(args, cfg: RunConfig) -> str:
-    """The [fft] method, its settings checked before the record is read."""
-    method = pick(args.method, cfg, "fft", "method", str, "periodogram")
-    if method == "welch":
-        _welch_settings(args, cfg, 0)
-    elif method == "periodogram":
-        _periodogram_window(args, cfg)
-    else:
-        raise ConfigError(f"method must be periodogram or welch, got {method!r}")
-    return method
-
-
-def _fourier_spectrum(args, cfg: RunConfig, ts, method: str):
-    """Periodogram or Welch estimate of ``ts`` under the [fft] settings."""
-    if method == "welch":
-        return welch(ts, _welch_settings(args, cfg, len(ts)))
-    return periodogram(ts, _periodogram_window(args, cfg))
+    A Welch segment length not given is ``default_welch_config``'s for the
+    record, so the check at 0 samples checks the given settings alone.
+    """
+    given = settings(args, cfg, "fft")
+    method = given.pop("method", "periodogram")
+    with given.checked():
+        if method == "welch":
+            replace(default_welch_config(0), **given)
+            return lambda ts: welch(ts, replace(default_welch_config(len(ts)), **given))
+        if method != "periodogram":
+            raise ValueError("method must be periodogram or welch")
+        window = given.get("window")
+        if window is not None and window not in get_args(Window):
+            raise ValueError(f"window must be one of {get_args(Window)}")
+        return lambda ts: periodogram(ts) if window is None else periodogram(ts, window)
 
 
 def _summary(dec) -> dict:
@@ -184,20 +131,19 @@ def _summary(dec) -> dict:
 
 
 def _cmd_synth(args, cfg: RunConfig) -> int:
-    preset = pick(args.preset, cfg, "synth", "preset", str, None)
-    fs = pick(args.fs, cfg, "synth", "fs", float, None)
-    n = pick(args.n, cfg, "synth", "n", int, None)
-    sigma = pick(args.noise_sigma, cfg, "synth", "noise_sigma", float, 0.0)
-    seed = pick(args.seed, cfg, "synth", "seed", int, 0)
-    add_gaussian_noise(TimeSeries(np.zeros(1), 1.0), sigma, seed)  # checks sigma first
-    fs = fs if fs is not None else PRESET_FS
-    n = n if n is not None else PRESET_N
-    if preset is not None:
-        components = list(preset_components(preset))
-    else:
-        entries = list(args.component or []) or cfg.component_entries()
-        components = parse_components(entries)
-    ts = synth_decaying_sum(components, fs=fs, n=n)
+    given = settings(args, cfg, "synth")
+    sigma, seed = given.get("noise_sigma", 0.0), given.get("seed", 0)
+    with given.checked():
+        # checks sigma before the synthesis
+        add_gaussian_noise(TimeSeries(np.zeros(1), 1.0), sigma, seed)
+        if "preset" in given:
+            components = preset_components(given["preset"])
+        else:
+            entries = list(args.component or []) or cfg.component_entries()
+            components = parse_components(entries)
+        ts = synth_decaying_sum(
+            components, fs=given.get("fs", PRESET_FS), n=given.get("n", PRESET_N)
+        )
     if sigma:
         ts = add_gaussian_noise(ts, sigma, seed)
     fileio.write_timeseries(args.out, ts)
@@ -237,37 +183,34 @@ def _cmd_spectrum(args, cfg: RunConfig) -> int:
 
 
 def _cmd_fft(args, cfg: RunConfig) -> int:
-    method = _fourier_method(args, cfg)
+    estimate = _fourier(args, cfg)
     ts = fileio.read_timeseries(args.infile)
-    fileio.write_spectrum(args.out, _fourier_spectrum(args, cfg, ts, method))
+    fileio.write_spectrum(args.out, estimate(ts))
     return EXIT_OK
 
 
 def _cmd_glide(args, cfg: RunConfig) -> int:
+    """Tracks of every window; pooled modes too when --out-pooled is given."""
     _check_distinct_outputs(args.out_tracks, args.out_pooled)
-    if args.pool and not args.out_pooled:
-        raise ConfigError("--pool requires --out-pooled")
-    if args.out_pooled and not args.pool:
-        raise ConfigError("--out-pooled requires --pool")
-    window_len = pick(args.window_len, cfg, "glide", "window_len", int, None)
-    if window_len is None:
+    given = settings(args, cfg, "glide")
+    if "window_len" not in given:
         raise ConfigError("window_len is required (--window-len or [glide] window_len)")
-    hop = pick(args.hop, cfg, "glide", "hop", int, 64)
-    floor = pick(args.floor, cfg, "glide", "floor", float, 0.0)
-    if args.pool:
-        pool_modes((), floor)  # rejects a bad floor before the sweep
+    floor = [given.pop("floor")] if "floor" in given else []
     hodmd_cfg = _build_hodmd_config(args, cfg)
-    glide_cfg = GlideConfig(window_len=window_len, hodmd=hodmd_cfg, hop=hop)
+    with given.checked():
+        if args.out_pooled:
+            pool_modes((), *floor)  # rejects a bad floor before the sweep
+        glide_cfg = GlideConfig(hodmd=hodmd_cfg, **given)
     ts = fileio.read_timeseries(args.infile)
     hodmd_cfg = replace(hodmd_cfg, dt=ts.dt)
     glide_cfg = replace(glide_cfg, hodmd=hodmd_cfg)
     tracks = gliding_hodmd(ts, glide_cfg)
     fileio.write_tracks(
-        args.out_tracks, tracks, dt=ts.dt, window_len=window_len, hop=hop,
-        d=hodmd_cfg.d,
+        args.out_tracks, tracks, dt=ts.dt, window_len=glide_cfg.window_len,
+        hop=glide_cfg.hop, d=hodmd_cfg.d,
     )
-    if args.pool:
-        pooled = pool_modes(tracks, floor)
+    if args.out_pooled:
+        pooled = pool_modes(tracks, *floor)
         fileio.write_modes(
             args.out_pooled, pooled, dt=ts.dt, d=hodmd_cfg.d,
             ranks=(0, 0, len(pooled)),
@@ -290,23 +233,18 @@ def _nearest_peak_errors(spec, truths: list[float], rel_prominence: float):
 
 def _cmd_compare(args, cfg: RunConfig) -> int:
     out_dir = Path(args.out_dir)
-    truth_text = pick(args.truth, cfg, "compare", "truth", str, None)
-    truths = (
-        [float(v) for v in truth_text.split(",")] if truth_text is not None else None
-    )
-    if truths is not None and not all(math.isfinite(f) for f in truths):
-        raise ConfigError(f"truth frequencies must be finite, got {truth_text!r}")
+    truths = settings(args, cfg, "compare").get("truth")
     if truths is not None and not (args.peak_prominence >= 0):
         raise ConfigError(f"--peak-prominence must be >= 0, got {args.peak_prominence}")
     hodmd_cfg = _build_hodmd_config(args, cfg)
     kds_cfg = _kds_config(args, cfg)
-    method = _fourier_method(args, cfg)
+    estimate = _fourier(args, cfg)
     ts = fileio.read_timeseries(args.infile)
     hodmd_cfg = replace(hodmd_cfg, dt=ts.dt)
     started = time.perf_counter()
     dec = hodmd(build_snapshots(ts), hodmd_cfg)
     mode_spec = _run_kds(list(dec.modes), kds_cfg)
-    fft_spec = _fourier_spectrum(args, cfg, ts, method)
+    fft_spec = estimate(ts)
     elapsed = time.perf_counter() - started
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -342,65 +280,24 @@ def _cmd_compare(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _add_hodmd_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--d", type=int, default=None, help="delay depth d (>= 1)")
-    parser.add_argument(
-        "--spatial",
-        default=None,
-        help="spatial truncation policy: tolerance:<eps> | count:<n> | optimal",
-    )
-    parser.add_argument(
-        "--temporal", default=None, help="delay-space truncation policy"
-    )
-    parser.add_argument(
-        "--amplitude",
-        default=None,
-        help="optional amplitude pruning policy (default none)",
-    )
-
-
-def _add_kds_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kernel", choices=("gaussian", "lorentz"), default=None,
-        help="kernel shape (default gaussian)",
-    )
-    parser.add_argument("--h", type=float, default=None, help="kernel parameter h")
-    parser.add_argument(
-        "--weighting",
-        choices=("density", "power", "time_constant"),
-        default=None,
-        help="Gaussian kernel weighting (default density)",
-    )
-    parser.add_argument(
-        "--grid", default=None, help="frequency grid f_min:f_max:step in Hz"
-    )
-    parser.add_argument(
-        "--tau-max", dest="tau_max", type=float, default=None,
-        help="clamp for undamped-mode time constants, in seconds",
-    )
-    parser.add_argument(
-        "--lorentz-sqrt-numerator",
-        action="store_true",
-        help="keep the sqrt(h) factor in the Lorentz numerator",
-    )
-
-
-def _add_fft_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--method", choices=("periodogram", "welch"), default=None,
-        help="PSD estimator (default periodogram)",
-    )
-    parser.add_argument(
-        "--window", choices=("rectangular", "hann"), default=None,
-        help="taper window",
-    )
-    parser.add_argument(
-        "--segment-length", dest="segment_length", type=int, default=None,
-        help="Welch segment length (power of two)",
-    )
-    parser.add_argument(
-        "--overlap", type=float, default=None, help="Welch overlap fraction [0, 1)"
-    )
+def _add_command(sub, name: str, func, about: str, *sections: str, infile=None):
+    """A subcommand with --config, --in when it reads ``infile``, and the
+    flags of the settings of ``sections``."""
+    p = sub.add_parser(name, help=about)
+    p.add_argument("--config", default=None, help="INI file of settings; flags win")
+    if infile:
+        p.add_argument("--in", dest="infile", required=True, help=infile)
+    for row in SETTINGS:
+        if row.section in sections and row.flag:
+            p.add_argument(row.flag, dest=row.key, help=row.help)
+    if "kds" in sections:
+        p.add_argument(
+            "--lorentz-sqrt-numerator",
+            action="store_true",
+            help="keep the sqrt(h) factor in the Lorentz numerator",
+        )
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,83 +306,58 @@ def build_parser() -> argparse.ArgumentParser:
         description="Damped-mode decomposition and spectra of vibration signals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    series, modes = "input time series CSV", "input modes CSV"
 
-    p = sub.add_parser("synth", help="synthesize a decaying-oscillation test signal")
-    p.add_argument("--config", default=None)
-    p.add_argument(
-        "--preset", choices=PRESET_NAMES, default=None,
-        help="bundled benchmark component set",
+    p = _add_command(
+        sub, "synth", _cmd_synth, "synthesize a decaying-oscillation test signal",
+        "synth",
     )
     p.add_argument(
         "--component", action="append", default=None,
         metavar="'A f D [phi]'",
         help="inline component (repeatable): amplitude frequency damping [phase]",
     )
-    p.add_argument("--fs", type=float, default=None, help="sampling rate in Hz")
-    p.add_argument("--n", type=int, default=None, help="number of samples")
-    p.add_argument(
-        "--noise-sigma", dest="noise_sigma", type=float, default=None,
-        help="additive white Gaussian noise standard deviation",
-    )
-    p.add_argument("--seed", type=int, default=None, help="noise generator seed")
     p.add_argument("--out", required=True, help="output time series CSV")
-    p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("decompose", help="extract damped modes from a series")
-    p.add_argument("--config", default=None)
-    p.add_argument("--in", dest="infile", required=True, help="input time series CSV")
-    _add_hodmd_flags(p)
+    p = _add_command(
+        sub, "decompose", _cmd_decompose, "extract damped modes from a series",
+        "hodmd", infile=series,
+    )
     p.add_argument("--out-modes", dest="out_modes", required=True)
     p.add_argument("--out-summary", dest="out_summary", default=None)
-    p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("spectrum", help="kernel density spectrum of a mode list")
-    p.add_argument("--config", default=None)
-    p.add_argument("--in", dest="infile", required=True, help="input modes CSV")
-    _add_kds_flags(p)
+    p = _add_command(
+        sub, "spectrum", _cmd_spectrum, "kernel density spectrum of a mode list",
+        "kds", infile=modes,
+    )
     p.add_argument("--out", required=True, help="output spectrum CSV")
-    p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("fft", help="Fourier reference spectrum of a series")
-    p.add_argument("--config", default=None)
-    p.add_argument("--in", dest="infile", required=True, help="input time series CSV")
-    _add_fft_flags(p)
+    p = _add_command(
+        sub, "fft", _cmd_fft, "Fourier reference spectrum of a series",
+        "fft", infile=series,
+    )
     p.add_argument("--out", required=True, help="output spectrum CSV")
-    p.set_defaults(func=_cmd_fft)
 
-    p = sub.add_parser("glide", help="sliding-window decomposition of a long record")
-    p.add_argument("--config", default=None)
-    p.add_argument("--in", dest="infile", required=True, help="input time series CSV")
-    p.add_argument("--window-len", dest="window_len", type=int, default=None)
-    p.add_argument("--hop", type=int, default=None, help="window hop (default 64)")
-    _add_hodmd_flags(p)
+    p = _add_command(
+        sub, "glide", _cmd_glide, "sliding-window decomposition of a long record",
+        "glide", "hodmd", infile=series,
+    )
     p.add_argument("--out-tracks", dest="out_tracks", required=True)
-    p.add_argument("--pool", action="store_true", help="also write pooled modes")
     p.add_argument(
-        "--floor", type=float, default=None,
-        help="amplitude floor for pooling (default 0)",
+        "--out-pooled", dest="out_pooled", default=None,
+        help="also write the modes of every window, pooled",
     )
-    p.add_argument("--out-pooled", dest="out_pooled", default=None)
-    p.set_defaults(func=_cmd_glide)
 
-    p = sub.add_parser(
-        "compare", help="decompose + mode spectrum + Fourier spectrum, one report"
-    )
-    p.add_argument("--config", default=None)
-    p.add_argument("--in", dest="infile", required=True, help="input time series CSV")
-    _add_hodmd_flags(p)
-    _add_kds_flags(p)
-    _add_fft_flags(p)
-    p.add_argument(
-        "--truth", default=None,
-        help="comma-separated true frequencies for error reporting",
+    p = _add_command(
+        sub, "compare", _cmd_compare,
+        "decompose + mode spectrum + Fourier spectrum, one report",
+        "hodmd", "kds", "fft", "compare", infile=series,
     )
     p.add_argument(
         "--peak-prominence", dest="peak_prominence", type=float, default=1e-6,
         help="relative prominence floor for Fourier peak picking",
     )
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.set_defaults(func=_cmd_compare)
 
     return parser
 

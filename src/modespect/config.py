@@ -1,10 +1,13 @@
-"""Run configuration: INI-style config files plus CLI flag overrides.
+"""Run configuration: the table of CLI settings and the INI files that give them.
 
-A run config is a plain INI document whose sections mirror the pipeline
-settings, e.g.::
+Every setting is one row of ``SETTINGS``: its INI section and key, which is
+also its argparse dest and the field name of the library config it feeds,
+its flag, the function that parses its text, and its help.  A run config is
+a plain INI document of those sections and keys::
 
     [synth]
     preset = paper-case-2
+    fs = 25000
     n = 65536
     noise_sigma = 0.01
     seed = 7
@@ -15,7 +18,7 @@ settings, e.g.::
     [hodmd]
     d = 50
     spatial_policy = tolerance:1e-10
-    temporal_policy = tolerance:1e-10
+    temporal_policy = optimal
     amplitude_policy = none
 
     [kds]
@@ -23,6 +26,8 @@ settings, e.g.::
     h = 0.05
     weighting = density
     grid = 1990:2050:0.01
+    tau_max = 0.5
+    lorentz_unit_numerator = yes
 
     [fft]
     method = welch
@@ -33,27 +38,38 @@ settings, e.g.::
     [glide]
     window_len = 1024
     hop = 64
+    floor = 0.05
 
-Values given on the command line win over the file.  Truncation policies are
-spelled ``tolerance:<eps>``, ``count:<n>``, ``optimal``, or ``none`` (where
-optional).
+    [compare]
+    truth = 2008,1992,1800
+
+A key outside the table is an error; the ``[components]`` rows are free-form.
+A flag wins over the file, and a setting given by neither takes the default
+of the library config it feeds.  Truncation policies are spelled
+``tolerance:<eps>``, ``count:<n>``, ``optimal``, or ``none`` (where optional).
 """
 
 from __future__ import annotations
 
 import configparser
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, NamedTuple, Optional
 
+from .decompose import SizingError
 from .kds import FrequencyGrid
 from .linalg import FixedCount, OptimalHardThreshold, Tolerance, TruncationPolicy
+from .presets import PRESET_FS, PRESET_N, PRESET_NAMES
 from .signals import DampedComponent
 
 __all__ = [
     "ConfigError",
     "RunConfig",
+    "SETTINGS",
+    "Setting",
+    "settings",
     "parse_policy",
-    "format_policy",
     "parse_bool",
     "parse_grid",
     "parse_components",
@@ -84,16 +100,6 @@ def parse_policy(text: str) -> Optional[TruncationPolicy]:
     )
 
 
-def format_policy(policy: Optional[TruncationPolicy]) -> str:
-    if policy is None:
-        return "none"
-    if isinstance(policy, Tolerance):
-        return f"tolerance:{policy.epsilon:g}"
-    if isinstance(policy, FixedCount):
-        return f"count:{policy.n}"
-    return "optimal"
-
-
 def parse_bool(text: str) -> bool:
     """Parse one of configparser's boolean words (1/yes/true/on, 0/no/false/off)."""
     states = configparser.ConfigParser.BOOLEAN_STATES
@@ -113,6 +119,14 @@ def parse_grid(text: str) -> FrequencyGrid:
         return FrequencyGrid(f_min, f_max, step)
     except ValueError as exc:
         raise ConfigError(f"bad grid {text!r}: {exc}") from exc
+
+
+def _parse_truth(text: str) -> list[float]:
+    """Comma-separated finite frequencies in Hz."""
+    truths = [float(v) for v in text.split(",")]
+    if not all(map(math.isfinite, truths)):
+        raise ValueError("truth frequencies must be finite")
+    return truths
 
 
 def parse_components(entries) -> list[DampedComponent]:
@@ -144,6 +158,64 @@ def parse_components(entries) -> list[DampedComponent]:
     return components
 
 
+class Setting(NamedTuple):
+    """One CLI setting; ``flag`` None means the file alone sets it."""
+
+    section: str
+    key: str
+    flag: Optional[str]
+    parse: Callable[[str], Any]
+    help: str
+
+
+_POLICIES = "tolerance:<eps> | count:<n> | optimal"
+
+SETTINGS = (
+    Setting("synth", "preset", "--preset", str,
+            f"bundled benchmark component set: {' | '.join(PRESET_NAMES)}"),
+    Setting("synth", "fs", "--fs", float,
+            f"sampling rate in Hz (default {PRESET_FS:g})"),
+    Setting("synth", "n", "--n", int, f"number of samples (default {PRESET_N})"),
+    Setting("synth", "noise_sigma", "--noise-sigma", float,
+            "additive white Gaussian noise standard deviation (default 0)"),
+    Setting("synth", "seed", "--seed", int, "noise generator seed (default 0)"),
+    Setting("hodmd", "d", "--d", int, "delay depth d (>= 1), required"),
+    Setting("hodmd", "spatial_policy", "--spatial", parse_policy,
+            f"spatial truncation policy: {_POLICIES}"),
+    Setting("hodmd", "temporal_policy", "--temporal", parse_policy,
+            f"delay-space truncation policy: {_POLICIES}"),
+    Setting("hodmd", "amplitude_policy", "--amplitude", parse_policy,
+            f"amplitude pruning policy: {_POLICIES} | none"),
+    Setting("kds", "kernel", "--kernel", str,
+            "kernel shape: gaussian | lorentz (default gaussian)"),
+    Setting("kds", "h", "--h", float, "kernel parameter h (> 0), required"),
+    Setting("kds", "weighting", "--weighting", str,
+            "Gaussian kernel weighting: density | power | time_constant"),
+    Setting("kds", "grid", "--grid", parse_grid,
+            "frequency grid f_min:f_max:step in Hz"),
+    Setting("kds", "tau_max", "--tau-max", float,
+            "clamp for undamped-mode time constants, in seconds"),
+    Setting("kds", "lorentz_unit_numerator", None, parse_bool,
+            "a boolean word; false keeps the sqrt(h) factor of the Lorentz numerator"),
+    Setting("fft", "method", "--method", str,
+            "PSD estimator: periodogram | welch (default periodogram)"),
+    Setting("fft", "window", "--window", str, "taper window: rectangular | hann"),
+    Setting("fft", "segment_length", "--segment-length", int,
+            "Welch segment length (a power of two >= 8)"),
+    Setting("fft", "overlap_fraction", "--overlap", float,
+            "Welch overlap fraction in [0, 1)"),
+    Setting("glide", "window_len", "--window-len", int,
+            "window length in samples (> 2d), required"),
+    Setting("glide", "hop", "--hop", int, "window hop in samples (>= 1)"),
+    Setting("glide", "floor", "--floor", float,
+            "amplitude floor of the modes in --out-pooled"),
+    Setting("compare", "truth", "--truth", _parse_truth,
+            "comma-separated true frequencies in Hz for error reporting"),
+)
+
+_KEYS = {(row.section, row.key) for row in SETTINGS}
+
+
 @dataclass
 class RunConfig:
     """Parsed config file; empty when no file was given."""
@@ -152,6 +224,7 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: Optional[str]) -> "RunConfig":
+        """Read ``path``; a key outside the table raises ConfigError naming it."""
         if path is None:
             return cls(sections={})
         parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -160,26 +233,68 @@ class RunConfig:
                 parser.read_file(fh)
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+        unknown = [
+            f"[{name}] {key}"
+            for name, section in parser.items()  # [DEFAULT] first
+            if name != "components"
+            for key in section
+            if (name, key) not in _KEYS
+        ]
+        if unknown:
+            raise ConfigError(f"unknown keys in config {path}: {', '.join(unknown)}")
         sections = {
             name: dict(parser.items(name)) for name in parser.sections()
         }
         return cls(sections=sections)
 
-    def get(self, section: str, key: str) -> Optional[str]:
-        return self.sections.get(section, {}).get(key)
-
     def component_entries(self) -> list[str]:
         return list(self.sections.get("components", {}).values())
 
 
-def pick(cli_value, cfg: RunConfig, section: str, key: str, cast, default):
-    """Resolve one setting: CLI flag, then config file, then default."""
-    if cli_value is not None:
-        return cli_value
-    raw = cfg.get(section, key)
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except (ValueError, ConfigError) as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+class Given(dict):
+    """The settings given for one section, by key, each parsed by its row.
+
+    ``texts`` holds, for each, ``--flag = 'text'`` or ``[section] key =
+    'text'``: where its value came from.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.texts: dict[str, str] = {}
+
+    @contextmanager
+    def checked(self):
+        """Re-raise a ValueError from a check on these settings as a
+        ConfigError that quotes them; a ConfigError, which names its cause,
+        and a SizingError, which has its own exit code, pass unchanged."""
+        try:
+            yield
+        except (ConfigError, SizingError):
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"{', '.join(self.texts.values())}: {exc}") from exc
+
+
+def settings(args, cfg: RunConfig, section: str) -> Given:
+    """The [section] settings that were given, a flag over the file.
+
+    A setting given by neither is absent, so the library's default applies.
+    Flag text and file text go through the same parser; a text it rejects
+    raises ConfigError naming the flag or key and quoting the text.
+    """
+    given = Given()
+    file = cfg.sections.get(section, {})
+    for row in SETTINGS:
+        if row.section != section:
+            continue
+        text, source = getattr(args, row.key, None), row.flag
+        if text is None:
+            text, source = file.get(row.key), f"[{section}] {row.key}"
+        if text is None:
+            continue
+        given.texts[row.key] = f"{source} = {text!r}"
+        try:
+            given[row.key] = row.parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"{given.texts[row.key]}: {exc}") from exc
+    return given

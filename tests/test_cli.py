@@ -7,6 +7,7 @@ import pytest
 
 from modespect import cli
 from modespect.cli import _summary, main
+from modespect.config import SETTINGS
 from modespect.decompose import Decomposition, HodmdConfig
 from modespect.fileio import read_modes, read_spectrum, read_timeseries, read_tracks
 from modespect.fileio import write_timeseries
@@ -287,6 +288,32 @@ class TestDecompose:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "ini, key",
+        [
+            ("[hodmd]\ntemporal = optimal\n", "[hodmd] temporal"),
+            ("[hdmd]\nd = 10\n", "[hdmd] d"),
+            ("[kds]\nd = 10\n", "[kds] d"),
+        ],
+        ids=["misspelled-key", "unknown-section", "wrong-section"],
+    )
+    def test_unknown_config_key_exit_2_before_reading_the_input(
+        self, tmp_path, monkeypatch, capsys, case1_file, ini, key
+    ):
+        config = tmp_path / "typo.ini"
+        config.write_text(ini)
+        monkeypatch.setattr(cli.fileio, "read_timeseries", None)
+        out = tmp_path / "m.csv"
+        code = run(
+            "decompose", "--d", "10", "--config", str(config), "--in", str(case1_file),
+            "--out-modes", str(out),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert key in err and str(config) in err
+        assert not out.exists()
+
+
 class TestSpectrum:
     @pytest.fixture()
     def two_mode_file(self, tmp_path):
@@ -523,7 +550,7 @@ class TestGlide:
         code = run(
             "glide", "--in", str(sig), "--window-len", "512", "--hop", "512",
             "--d", "8", "--out-tracks", str(tracks_csv),
-            "--pool", "--floor", "0", "--out-pooled", str(pooled_csv),
+            "--floor", "0", "--out-pooled", str(pooled_csv),
         )
         assert code == 0
         rows, _ = read_tracks(tracks_csv)
@@ -549,27 +576,6 @@ class TestGlide:
             assert row["frequency_hz"] == mode.frequency_hz
             assert row["amplitude"] == mode.amplitude
 
-    def test_pool_without_target_exit_2(self, tmp_path):
-        sig = tmp_path / "sig.csv"
-        run("synth", "--component", "1 800 0", "--n", "2048", "--out", str(sig))
-        code = run(
-            "glide", "--in", str(sig), "--window-len", "512", "--d", "8",
-            "--out-tracks", str(tmp_path / "t.csv"), "--pool",
-        )
-        assert code == 2
-
-    def test_pooled_target_without_pool_exit_2(self, tmp_path, capsys):
-        sig = tmp_path / "sig.csv"
-        run("synth", "--component", "1 800 0", "--n", "2048", "--out", str(sig))
-        tracks_csv, pooled_csv = tmp_path / "t.csv", tmp_path / "p.csv"
-        code = run(
-            "glide", "--in", str(sig), "--window-len", "512", "--d", "8",
-            "--out-tracks", str(tracks_csv), "--out-pooled", str(pooled_csv),
-        )
-        assert code == 2
-        assert "--out-pooled requires --pool" in capsys.readouterr().err
-        assert not tracks_csv.exists() and not pooled_csv.exists()
-
     @pytest.mark.parametrize("floor", ["-1", "nan"])
     def test_bad_floor_exit_2_before_sweep(self, tmp_path, monkeypatch, floor):
         sig = tmp_path / "sig.csv"
@@ -579,7 +585,7 @@ class TestGlide:
         code = run(
             "glide", "--in", str(sig), "--window-len", "512", "--d", "8",
             "--out-tracks", str(tracks_csv),
-            "--pool", "--floor", floor, "--out-pooled", str(pooled_csv),
+            "--floor", floor, "--out-pooled", str(pooled_csv),
         )
         assert code == 2
         assert not tracks_csv.exists() and not pooled_csv.exists()
@@ -737,6 +743,119 @@ class TestCompare:
         assert code == 2
         assert reason in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+# one small command per section of the settings table, each setting given
+COMMANDS = {
+    "synth": ["synth", "--preset", "paper-case-1", "--n", "256", "--noise-sigma", "0.1",
+              "--out", "{out}/sig.csv"],
+    "hodmd": ["decompose", "--in", "{sig}", "--d", "10", "--out-modes", "{out}/m.csv"],
+    "kds": ["spectrum", "--in", "{modes}", "--h", "1", "--weighting", "time_constant",
+            "--grid", "1990:2050:0.5", "--out", "{out}/kds.csv"],
+    "fft": ["fft", "--in", "{sig}", "--method", "welch", "--out", "{out}/psd.csv"],
+    "glide": ["glide", "--in", "{sig}", "--window-len", "256", "--d", "8",
+              "--out-tracks", "{out}/t.csv", "--out-pooled", "{out}/p.csv"],
+    "compare": ["compare", "--in", "{sig}", "--d", "10", "--h", "0.5",
+                "--out-dir", "{out}/report"],
+}
+# per setting: a value that changes its command's output (save spatial_policy,
+# which a one-channel record cannot show), and a bad value
+VALUES = {
+    "preset": ("paper-case-2", "paper-case-9"),
+    "fs": ("5000", "-1"),
+    "n": ("128", "0"),
+    "noise_sigma": ("0.2", "-1"),
+    "seed": ("3", "x"),
+    "d": ("12", "0"),
+    "spatial_policy": ("optimal", "none"),
+    "temporal_policy": ("count:4", "magic"),
+    "amplitude_policy": ("count:2", "count:x"),
+    "kernel": ("lorentz", "bogus"),
+    "h": ("2", "-1"),
+    "weighting": ("power", "bogus"),
+    "grid": ("2000:2040:0.25", "5:1:0.1"),
+    "tau_max": ("0.01", "0"),
+    "lorentz_unit_numerator": ("off", "ture"),
+    "method": ("welch", "bogus"),
+    "window": ("rectangular", "bogus"),
+    "segment_length": ("256", "100"),
+    "overlap_fraction": ("0.25", "1.5"),
+    "window_len": ("512", "x"),
+    "hop": ("128", "0"),
+    "floor": ("0.5", "-1"),
+    "truth": ("2008,1992,1800", "nan"),
+}
+FLAG_ROWS = [row for row in SETTINGS if row.flag]
+
+
+class TestSettingsTable:
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """A 1,024-sample paper-case-2 record and a two-mode modes file."""
+        where = tmp_path_factory.mktemp("inputs")
+        sig, two = where / "sig.csv", where / "two.csv"
+        assert run("synth", "--preset", "paper-case-2", "--n", "1024", "--out", str(sig)) == 0
+        assert run("synth", "--component", "1 2014 10", "--component", "0.5 2028 20",
+                   "--n", "4096", "--out", str(two)) == 0
+        modes = where / "modes.csv"
+        assert run("decompose", "--in", str(two), "--d", "10", "--out-modes", str(modes)) == 0
+        return {"sig": sig, "modes": modes}
+
+    @staticmethod
+    def argv(row, inputs, out, *setting):
+        """The row's command without its own setting, then ``setting``."""
+        argv = list(COMMANDS[row.section])
+        if row.flag in argv:
+            del argv[argv.index(row.flag):argv.index(row.flag) + 2]
+        return [a.format(out=out, **inputs) for a in argv] + list(setting)
+
+    @staticmethod
+    def written(out):
+        """Every file under ``out`` by name; a report less its paths and time."""
+        files = {}
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            data = path.read_bytes()
+            if path.suffix == ".json":
+                report = json.loads(data)
+                for key in ("input", "outputs", "wall_time_s"):
+                    report.pop(key)
+                data = report
+            files[path.relative_to(out)] = data
+        return files
+
+    @pytest.mark.parametrize("row", FLAG_ROWS, ids=lambda row: row.key)
+    def test_flag_and_file_write_the_same_bytes(self, tmp_path, inputs, row):
+        value = VALUES[row.key][0]
+        by_flag, by_file = tmp_path / "flag", tmp_path / "file"
+        config = tmp_path / "c.ini"
+        config.write_text(f"[{row.section}]\n{row.key} = {value}\n")
+        by_flag.mkdir()
+        by_file.mkdir()
+        assert run(*self.argv(row, inputs, by_flag, row.flag, value)) == 0
+        assert run(*self.argv(row, inputs, by_file, "--config", str(config))) == 0
+        assert self.written(by_flag) == self.written(by_file) != {}
+
+    @pytest.mark.parametrize(
+        "row, source",
+        [(row, "flag") for row in FLAG_ROWS] + [(row, "file") for row in SETTINGS],
+        ids=lambda x: getattr(x, "key", x),
+    )
+    def test_bad_value_exit_2_names_it(
+        self, tmp_path, monkeypatch, capsys, inputs, row, source
+    ):
+        bad = VALUES[row.key][1]
+        monkeypatch.setattr(cli.fileio, "read_timeseries", None)
+        monkeypatch.setattr(cli.fileio, "read_modes", None)
+        config = tmp_path / "c.ini"
+        config.write_text(f"[{row.section}]\n{row.key} = {bad}\n")
+        setting = [row.flag, bad] if source == "flag" else ["--config", str(config)]
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(*self.argv(row, inputs, out, *setting)) == 2
+        err = capsys.readouterr().err
+        assert (row.flag if source == "flag" else f"[{row.section}] {row.key}") in err
+        assert repr(bad) in err
+        assert not any(out.iterdir())
 
 
 class TestDeterminism:

@@ -1,14 +1,16 @@
+import re
+from argparse import Namespace
+
 import pytest
 
 from modespect import FixedCount, OptimalHardThreshold, Tolerance
 from modespect.config import (
     ConfigError,
     RunConfig,
-    format_policy,
     parse_components,
     parse_grid,
     parse_policy,
-    pick,
+    settings,
 )
 
 
@@ -32,10 +34,6 @@ class TestPolicyParsing:
     def test_invalid(self, bad):
         with pytest.raises((ConfigError, ValueError)):
             parse_policy(bad)
-
-    def test_format_round_trip(self):
-        for policy in (Tolerance(1e-8), FixedCount(3), OptimalHardThreshold(), None):
-            assert parse_policy(format_policy(policy)) == policy
 
 
 class TestGridParsing:
@@ -77,9 +75,7 @@ class TestRunConfig:
             "[components]\nmode1 = 1 2000 80\nmode2 = 1 1800 100\n"
         )
         cfg = RunConfig.load(str(path))
-        assert cfg.get("hodmd", "d") == "50"
-        assert cfg.get("hodmd", "missing") is None
-        assert cfg.get("nope", "d") is None
+        assert cfg.sections["hodmd"] == {"d": "50", "spatial_policy": "optimal"}
         assert len(cfg.component_entries()) == 2
 
     def test_no_file_is_empty(self):
@@ -92,17 +88,21 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig.load(str(path))
 
-    def test_pick_precedence(self, tmp_path):
+    def test_settings_precedence(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[hodmd]\nd = 50\n")
         cfg = RunConfig.load(str(path))
-        assert pick(7, cfg, "hodmd", "d", int, 1) == 7  # CLI wins
-        assert pick(None, cfg, "hodmd", "d", int, 1) == 50  # file next
-        assert pick(None, cfg, "hodmd", "other", int, 1) == 1  # default last
+        assert settings(Namespace(d="7"), cfg, "hodmd") == {"d": 7}  # flag wins
+        assert settings(Namespace(d=None), cfg, "hodmd") == {"d": 50}  # file next
+        assert settings(Namespace(), RunConfig.load(None), "hodmd") == {}  # absent
 
-    def test_pick_bad_cast(self, tmp_path):
+    @pytest.mark.parametrize(
+        "flag, ini, where",
+        [("fifty", "", "--d = 'fifty'"), (None, "d = fifty\n", "[hodmd] d = 'fifty'")],
+        ids=["flag", "file"],
+    )
+    def test_settings_bad_value(self, tmp_path, flag, ini, where):
         path = tmp_path / "run.ini"
-        path.write_text("[hodmd]\nd = fifty\n")
-        cfg = RunConfig.load(str(path))
-        with pytest.raises(ConfigError):
-            pick(None, cfg, "hodmd", "d", int, 1)
+        path.write_text("[hodmd]\n" + ini)
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            settings(Namespace(d=flag), RunConfig.load(str(path)), "hodmd")
