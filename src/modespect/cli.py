@@ -3,7 +3,8 @@
 Subcommands: ``synth``, ``decompose``, ``spectrum``, ``fft``, ``glide``,
 ``compare``.  Each setting is a row of :data:`modespect.config.SETTINGS`,
 given by its flag or by its key in an INI config file (``--config``), the
-flag winning; a setting given by neither takes the library's default.
+flag winning; a setting given by neither takes the library's default.  Flags
+are matched whole: a cut-off flag such as ``--temp`` is an unknown argument.
 
 Exit codes: 0 ok, 1 I/O failure or malformed input file, 2 invalid
 configuration, 3 window sizing violation (K <= 2*d), 4 degenerate input
@@ -283,7 +284,7 @@ def _cmd_compare(args, cfg: RunConfig) -> int:
 def _add_command(sub, name: str, func, about: str, *sections: str, infile=None):
     """A subcommand with --config, --in when it reads ``infile``, and the
     flags of the settings of ``sections``."""
-    p = sub.add_parser(name, help=about)
+    p = sub.add_parser(name, help=about, allow_abbrev=False)
     p.add_argument("--config", default=None, help="INI file of settings; flags win")
     if infile:
         p.add_argument("--in", dest="infile", required=True, help=infile)
@@ -304,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modespect",
         description="Damped-mode decomposition and spectra of vibration signals.",
+        allow_abbrev=False,  # a cut-off flag must not set whichever flag it begins
     )
     sub = parser.add_subparsers(dest="command", required=True)
     series, modes = "input time series CSV", "input modes CSV"

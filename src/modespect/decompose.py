@@ -73,6 +73,9 @@ _SKETCH_FRACTION = 4
 _BLOCK = 4096
 # rows per block of the short-side Gram matrix
 _GRAM_BLOCK = 128
+# design rows per chunk of the amplitude fit's complex product, which is
+# written straight into the block's real [design | rhs] buffer
+_FIT_ROWS = 256
 # 1 - |c|^2 at or below which hodmd fits the propagator by lstsq: both fits
 # lose ~eps / gap, and their eigenvalues agree to 1e-10 at a gap of 1e-5 but
 # only to 3e-7 at 1e-9; a kept rank equal to the column count gives ~eps
@@ -113,7 +116,7 @@ class SnapshotMatrix:
         return self.data.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Mode:
     """One extracted damped-oscillation component.
 
@@ -321,7 +324,8 @@ def _fit_b(
     eigenvalue).  The design matrix is never built whole: two walks of
     :func:`_power_blocks` give the powers, one for the column norms and one
     for the design, whose blocks of _BLOCK snapshots go to :func:`_tsqr` as
-    [design | rhs].  ``lstsq`` takes the minimum-norm solution and the rank
+    [design | rhs], each written into one buffer by chunks of _FIT_ROWS
+    rows.  ``lstsq`` takes the minimum-norm solution and the rank
     from its R factor, with the cut-off gelsd applies to the whole design,
     eps * max(rows, columns).  The condition estimate is the ratio of the
     scaled design's extreme singular values; an ill-conditioned system also
@@ -337,13 +341,23 @@ def _fit_b(
     real = not np.iscomplexobj(data)
     pair = _pair_sides(lam) != 0
     root2 = math.sqrt(2.0)
+    h = np.count_nonzero(pair)
+    width = (n + h if real else n) + 1
+    step = max(1, _FIT_ROWS // m)
 
     def rows(k0, p):  # [design | rhs] of the p.shape[1] snapshots from k0
-        a = (p.T[:, None, :] * unit[None, :, :]).reshape(-1, n)
-        y = data[:, k0 : k0 + p.shape[1]].T.reshape(-1, 1)
-        if real:  # the complex product is dropped before the stack is formed
-            a = [root2 * a.real[:, pair], -root2 * a.imag[:, pair], a.real[:, ~pair]]
-        return np.hstack([*a, y] if real else [a, y])
+        out = np.empty((p.shape[1] * m, width), dtype=float if real else complex)
+        for j in range(0, p.shape[1], step):  # the complex product by row chunks
+            a = (p.T[j : j + step, None, :] * unit[None, :, :]).reshape(-1, n)
+            chunk = out[j * m : j * m + len(a)]
+            if real:
+                chunk[:, :h] = root2 * a.real[:, pair]
+                chunk[:, h : 2 * h] = -root2 * a.imag[:, pair]
+                chunk[:, 2 * h : -1] = a.real[:, ~pair]
+            else:
+                chunk[:, :-1] = a
+        out[:, -1] = data[:, k0 : k0 + p.shape[1]].T.reshape(-1)
+        return out
 
     for r in _tsqr(map(rows, range(0, k, _BLOCK), _power_blocks(lam, k))):
         pass
@@ -351,7 +365,6 @@ def _fit_b(
     rcond = np.finfo(float).eps * max(k * m, cols)
     sol, _, rank, svals = np.linalg.lstsq(r[:, :-1], r[:, -1], rcond=rcond)
     if real:
-        h = np.count_nonzero(pair)
         y, sol = sol, np.empty(n, dtype=complex)
         # x2 after the division: x * sqrt(2) need not be 2 * (x / sqrt(2))
         sol[pair] = 2.0 * ((y[:h] + 1j * y[h : 2 * h]) / root2)

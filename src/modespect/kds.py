@@ -3,10 +3,15 @@
 Each extracted mode frequency is smeared by a kernel over a frequency grid.
 The Gaussian kernel widens as its bandwidth ``h`` grows; the Lorentz kernel
 (the line shape of an exponentially damped oscillator) sharpens instead.
+The Gaussian sum adds each mode on its support only, where its kernel is not
+exactly zero.  The Lorentz kernel has no such support: each grid panel sums
+its nearby modes directly and interpolates the far field of the others from
+Chebyshev nodes, in near-linear time and to rounding level.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal, Optional, Sequence
@@ -31,6 +36,15 @@ _KERNELS = ("gaussian", "lorentz")
 _WEIGHTINGS = ("density", "power", "time_constant")
 # half-width, in bandwidths h, outside which the Gaussian kernel is not evaluated
 _GAUSS_SUPPORT = 40.0
+# Lorentz sum: grid points per panel, and Chebyshev nodes per panel at which
+# the modes more than one panel width away are summed and then interpolated:
+# their singularities lie outside the Bernstein ellipse of parameter
+# 3 + sqrt(8), so the interpolant is within about 2 (3 + sqrt(8))**-_NODES
+# = 9e-19 relative
+_PANEL = 1024
+_NODES = 24
+# values per temporary of a direct Lorentz sum, which goes by blocks of modes
+_LORENTZ_BLOCK = 2**16
 # grid points above which a grid is refused: 512 MiB per float64 array
 _MAX_GRID_POINTS = 2**26
 
@@ -192,6 +206,66 @@ def kds_gaussian(modes: Sequence[Mode], cfg: KdsConfig) -> Spectrum:
     return Spectrum(freqs, values, _meta(cfg, grid, len(modes)))
 
 
+def _lorentz_sum(x: np.ndarray, f, c, q, origin: float = 0.0) -> np.ndarray:
+    """sum_k c_k / sqrt(1 + q_k (x - (f_k - origin))**2) at each x, by blocks
+    of modes, so no temporary grows with the mode count."""
+    out = np.zeros(x.size)
+    size = max(1, _LORENTZ_BLOCK // x.size)
+    for k in range(0, f.size, size):
+        d = x - (f[k : k + size, None] - origin)
+        t = q[k : k + size, None] * d
+        t *= d
+        t += 1.0
+        np.sqrt(t, out=t)
+        np.divide(c[k : k + size, None], t, out=t)
+        out += t.sum(axis=0)
+    return out
+
+
+@functools.cache
+def _chebyshev() -> tuple[np.ndarray, np.ndarray]:
+    """The _NODES Chebyshev points of the first kind on [-1, 1] and their
+    barycentric weights (-1)**j sin(theta_j); formed on first use, as at
+    import the sines and cosines would add ~0.15 MB of code pages to the RSS
+    of every command."""
+    theta = (np.arange(_NODES) + 0.5) * math.pi / _NODES
+    nodes, weights = np.cos(theta), (-1.0) ** np.arange(_NODES) * np.sin(theta)
+    nodes.flags.writeable = weights.flags.writeable = False  # shared by every call
+    return nodes, weights
+
+
+def _lorentz_panel(x: np.ndarray, f, c, q) -> np.ndarray:
+    """The Lorentz sum at the grid points x of one panel, the modes sorted.
+
+    Modes within one panel width of [x[0], x[-1]] are summed directly; the
+    far field of the others is summed at the panel's Chebyshev nodes
+    (:func:`_chebyshev`) and interpolated onto x by the barycentric
+    formula.  Nodes and points are placed by their offsets from x[0], which
+    the direct sum's x - f_k also resolves, so the rounding of a large
+    frequency does not move them.  A panel of at most _NODES points, or of
+    one repeated frequency, or with fewer far modes than nodes, is summed
+    directly.
+    """
+    half = (x[-1] - x[0]) / 2
+    lo = np.searchsorted(f, x[0] - 2 * half, side="left")
+    hi = np.searchsorted(f, x[-1] + 2 * half, side="right")
+    if x.size <= _NODES or f.size - (hi - lo) < _NODES or half == 0:
+        return _lorentz_sum(x, f, c, q)
+    nodes, weights = _chebyshev()
+    far = sum(
+        _lorentz_sum(half * (1.0 + nodes), f[s], c[s], q[s], x[0])
+        for s in (np.s_[:lo], np.s_[hi:])
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.subtract.outer((x - x[0]) / half - 1.0, nodes)
+        np.divide(weights, r, out=r)
+        den = r.sum(axis=1)
+        values = (r @ far) / den
+    hit = np.flatnonzero(np.isinf(den))  # a point on a node takes its value
+    values[hit] = far[np.isinf(r[hit]).argmax(axis=1)]
+    return values + _lorentz_sum(x, f[lo:hi], c[lo:hi], q[lo:hi])
+
+
 def kds_lorentz(modes: Sequence[Mode], cfg: KdsConfig) -> Spectrum:
     """Lorentz kernel density spectrum of a mode list.
 
@@ -202,6 +276,19 @@ def kds_lorentz(modes: Sequence[Mode], cfg: KdsConfig) -> Spectrum:
     Unlike the Gaussian kernel, larger h sharpens the spectrum.  The
     ``weighting`` setting does not apply; the amplitude and time-constant
     dependence is fixed by the kernel.
+
+    The kernel's 1/|F - F_k| tails reach the whole grid, so the sum is taken
+    by panels of _PANEL grid points over the modes sorted by frequency
+    (:func:`_lorentz_panel`).  Modes within one panel width of a panel are
+    summed at its points term by term, as above.  The others are summed at
+    _NODES Chebyshev nodes of the panel and interpolated onto its points by
+    the barycentric formula (Berrut & Trefethen 2004): their kernels are
+    analytic within the Bernstein ellipse of parameter 3 + sqrt(8), so the
+    interpolation error stays near 1e-18 relative, below the rounding of the
+    sum, and the values agree with the term-by-term sum over all modes to
+    rounding (within 1e-13 relative in the tests).  The cost is about
+    n_grid * (_NODES + near modes) + n_panels * _NODES * n_modes kernel
+    evaluations instead of n_grid * n_modes.
     """
     if len(modes) == 0:
         raise ValueError("mode list is empty")
@@ -211,12 +298,14 @@ def kds_lorentz(modes: Sequence[Mode], cfg: KdsConfig) -> Spectrum:
     taus = _time_constants(growth, cfg.tau_max)
     grid = cfg.grid or _default_lorentz_grid(mode_freqs, cfg.h, taus)
     numerator = 1.0 if cfg.lorentz_unit_numerator else math.sqrt(cfg.h)
+    order = np.argsort(mode_freqs)  # a NaN frequency sorts last, as a far mode
+    f, t = mode_freqs[order], taus[order]
+    c = numerator * amps[order] * t
+    q = 4.0 * math.pi**2 * cfg.h * t * t
     freqs = grid.frequencies()
-    values = np.zeros_like(freqs)
-    four_pi2_h = 4.0 * math.pi**2 * cfg.h
-    for fk, ak, tk in zip(mode_freqs, amps, taus):  # fixed summation order
-        df = freqs - fk
-        values += (numerator * ak * tk) / np.sqrt(1.0 + four_pi2_h * tk * tk * df * df)
+    values = np.empty_like(freqs)
+    for i in range(0, freqs.size, _PANEL):
+        values[i : i + _PANEL] = _lorentz_panel(freqs[i : i + _PANEL], f, c, q)
     values /= len(modes)
     return Spectrum(freqs, values, _meta(cfg, grid, len(modes)))
 

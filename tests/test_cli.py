@@ -858,6 +858,35 @@ class TestSettingsTable:
         assert not any(out.iterdir())
 
 
+class TestWholeFlags:
+    # argparse's prefix matching once let each of these exit 0 with the flag
+    # it begins set: --temporal, glide's --window-len, --segment-length
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["decompose", "--d", "20", "--temp", "optimal", "--out-modes"], "--temp"),
+            (["glide", "--window", "512", "--hop", "256", "--d", "8", "--out-tracks"],
+             "--window"),
+            (["fft", "--segment", "256", "--method", "welch", "--out"], "--segment"),
+        ],
+        ids=["decompose", "glide", "fft"],
+    )
+    def test_prefix_exit_2_names_the_flag(self, tmp_path, capsys, case2_file, argv, flag):
+        out = tmp_path / "out.csv"
+        assert run(*argv, str(out), "--in", str(case2_file)) == 2
+        assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_compare_window_is_the_fourier_taper(self, tmp_path, case2_file):
+        out = tmp_path / "cmp"
+        code = run(
+            "compare", "--in", str(case2_file), "--d", "10", "--h", "0.5",
+            "--window", "hann", "--out-dir", str(out),
+        )
+        assert code == 0
+        assert (out / "report.json").exists()
+
+
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path, case2_file):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,14 +9,28 @@ from hypothesis import strategies as st
 
 from modespect import (
     FrequencyGrid,
+    HodmdConfig,
     KdsConfig,
     Mode,
     Spectrum,
+    Tolerance,
+    add_gaussian_noise,
+    batch_hodmd,
     find_peaks,
     kds_gaussian,
     kds_lorentz,
+    pool_modes,
+    preset_components,
+    synth_decaying_sum,
 )
-from modespect.kds import _local_maxima, _prominences
+from modespect.decompose import _mode_columns
+from modespect.kds import (
+    _PANEL,
+    _default_lorentz_grid,
+    _local_maxima,
+    _prominences,
+    _time_constants,
+)
 
 DT = 4e-5
 
@@ -243,6 +258,137 @@ class TestGaussianSupport:
         cfg = KdsConfig(kernel="gaussian", h=0.5, weighting="power", grid=grid)
         with pytest.raises(ValueError, match="finite"):
             kds_gaussian(modes, cfg)
+
+
+def direct_lorentz(modes, cfg):
+    """Reference: the per-mode loop over the whole grid that the panel sum
+    replaced, kept as it was."""
+    mode_freqs, growth, amps, *_ = _mode_columns(modes)
+    taus = _time_constants(growth, cfg.tau_max)
+    grid = cfg.grid or _default_lorentz_grid(mode_freqs, cfg.h, taus)
+    numerator = 1.0 if cfg.lorentz_unit_numerator else math.sqrt(cfg.h)
+    freqs = grid.frequencies()
+    values = np.zeros_like(freqs)
+    four_pi2_h = 4.0 * math.pi**2 * cfg.h
+    for fk, ak, tk in zip(mode_freqs, amps, taus):  # fixed summation order
+        df = freqs - fk
+        values += (numerator * ak * tk) / np.sqrt(1.0 + four_pi2_h * tk * tk * df * df)
+    values /= len(modes)
+    return values
+
+
+def assert_matches_direct(modes, cfg, rtol=1e-13):
+    got = kds_lorentz(modes, cfg).values
+    want = direct_lorentz(modes, cfg)
+    assert got.shape == want.shape
+    worst = np.max(np.abs(got - want) / want)
+    assert worst <= rtol, worst
+
+
+def saturated_pool(seed=1):
+    """The saturated-batch benchmark's pool: 8 noisy 1,024-sample paper-case-2
+    segments (1% of peak), d=500 under Tolerance(1e-10), every mode pooled."""
+    clean = synth_decaying_sum(preset_components("paper-case-2"), fs=25_000.0, n=1024)
+    sigma = 0.01 * float(np.abs(clean.samples).max())
+    seeds = np.random.default_rng(seed).integers(2**31, size=8)
+    segments = [add_gaussian_noise(clean, sigma, int(s)) for s in seeds]
+    policy = Tolerance(1e-10)
+    cfg = HodmdConfig(d=500, dt=clean.dt, spatial_policy=policy, temporal_policy=policy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # every segment saturates
+        return pool_modes(batch_hodmd(segments, cfg))
+
+
+@st.composite
+def lorentz_cases(draw):
+    """Grids of 1 to 2e5 points, among them k panels and one point, with
+    modes inside and outside, tau from 1e-6 to 10 s and h from 1e-3 to 1e6."""
+    n = draw(
+        st.one_of(
+            st.integers(1, 200_000),
+            st.integers(0, 195).map(lambda k: _PANEL * k + 1),
+        )
+    )
+    step = draw(st.floats(1e-3, 10.0))
+    f_min = draw(st.floats(-1e3, 1e4))
+    span = max(n - 1, 1) * step
+    grid = FrequencyGrid(f_min, f_min + (n - 0.5) * step, step)
+    modes = draw(
+        st.lists(
+            st.builds(
+                lambda at, log_tau, log_amp: mode(
+                    f_min + at * span, 10.0**-log_tau, 10.0**log_amp
+                ),
+                at=st.floats(-0.5, 1.5),
+                log_tau=st.floats(-6.0, 1.0),
+                log_amp=st.floats(-3.0, 3.0),
+            ),
+            min_size=1,
+            max_size=80,
+        )
+    )
+    h = 10.0 ** draw(st.floats(-3.0, 6.0))
+    return modes, KdsConfig(kernel="lorentz", h=h, grid=grid)
+
+
+class TestLorentzPanels:
+    # the panel sum (direct near each panel, an interpolated far field
+    # beyond) against the per-mode loop over the whole grid
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=lorentz_cases())
+    def test_matches_direct_sum(self, case):
+        assert_matches_direct(*case)
+
+    def test_saturated_batch_pool(self):
+        pool = saturated_pool()
+        assert len(pool) == 2010
+        grid = FrequencyGrid(0.0, 12_500.0, 0.1)
+        assert_matches_direct(
+            pool, KdsConfig(kernel="lorentz", h=1e3, grid=grid, tau_max=1024 / 25_000.0)
+        )
+
+    def test_modes_at_the_near_band_edge(self):
+        # sharp kernels just beyond one panel width from each panel's edges,
+        # where the far field is interpolated with the least margin
+        step = 0.1
+        width = (_PANEL - 1) * step
+        grid = FrequencyGrid(0.0, 4 * _PANEL * step, step)
+        edges = [p * _PANEL * step + e for p in range(4) for e in (0.0, width)]
+        freqs = [e + s * width * (1 + 1e-12) for e in edges for s in (-1, 1)]
+        freqs += list(np.linspace(-50.0, 500.0, 30))
+        modes = [mode(f, damping=0.1) for f in freqs]
+        assert_matches_direct(modes, KdsConfig(kernel="lorentz", h=1e6, grid=grid))
+
+    def test_panel_of_one_repeated_frequency(self):
+        # at 1e15 Hz the grid points round to two values, and the last panel
+        # holds one of them only
+        grid = FrequencyGrid(1e15, 1e15 + 0.125, 0.125 / (_PANEL + 76))
+        modes = [mode(1e15 + k, damping=100.0) for k in range(-15, 15)]
+        assert np.unique(grid.frequencies()[_PANEL:]).size == 1
+        assert_matches_direct(modes, KdsConfig(kernel="lorentz", h=1.0, grid=grid))
+
+    @pytest.mark.parametrize("count", [1, 40], ids=["direct", "far-field"])
+    def test_identical_modes_match_closed_form(self, count):
+        f0, damping, h = 2000.0, 40.0, 50.0
+        grid = FrequencyGrid(0.0, 5000.0, 0.05)
+        values = kds_lorentz(
+            [mode(f0, damping=damping, amplitude=1.5)] * count,
+            KdsConfig(kernel="lorentz", h=h, grid=grid),
+        ).values
+        tau = 1.0 / damping
+        df = grid.frequencies() - f0
+        closed = 1.5 * tau / np.sqrt(1.0 + 4.0 * math.pi**2 * h * tau**2 * df**2)
+        np.testing.assert_allclose(values, closed, rtol=1e-13)
+
+    @pytest.mark.parametrize("count", [2, 60], ids=["direct", "far-field"])
+    @pytest.mark.parametrize("bad", ["frequency", "amplitude"])
+    def test_non_finite_mode_still_rejected(self, count, bad):
+        modes = [mode(f) for f in np.linspace(100.0, 4000.0, count - 1)]
+        modes.append(mode(math.nan) if bad == "frequency" else mode(300.0, amplitude=math.inf))
+        grid = FrequencyGrid(0.0, 5000.0, 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            kds_lorentz(modes, KdsConfig(kernel="lorentz", h=100.0, grid=grid))
 
 
 class TestLorentzKds:
